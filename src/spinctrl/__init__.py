@@ -4,6 +4,8 @@ Synthesizes x/y control fields on the first spin of a Heisenberg chain that
 realize a target gate with high fidelity while keeping the total pulse
 magnitude small, and compares the robustness of penalized and unpenalized
 solutions against a pulse-coupled environment qubit via Choi trace distances.
+Every propagation, with or without the environment qubit, runs through the
+one slice kernel of ``spinctrl.model``.
 """
 
 from .channels import (
@@ -19,9 +21,7 @@ from .model import (
     ControlSequence,
     TargetGate,
     bloch_trajectories,
-    control_hamiltonian,
     drift_hamiltonian,
-    env_hamiltonian,
     propagate,
     propagate_with_env,
     target_unitary,
@@ -29,13 +29,9 @@ from .model import (
 from .objective import (
     ObjectiveConfig,
     fidelity,
-    objective_gradient,
-    objective_value,
     penalty,
     surrogate_abs,
     surrogate_abs_derivative,
-    surrogate_objective_value,
-    surrogate_penalty,
 )
 from .optimizer import (
     BfgsInfo,
@@ -62,12 +58,8 @@ __all__ = [
     "choi_distance",
     "choi_of_env_channel",
     "choi_of_unitary",
-    "control_hamiltonian",
     "drift_hamiltonian",
-    "env_hamiltonian",
     "fidelity",
-    "objective_gradient",
-    "objective_value",
     "optimize_controls",
     "penalty",
     "propagate",
@@ -75,7 +67,5 @@ __all__ = [
     "robustness_experiment",
     "surrogate_abs",
     "surrogate_abs_derivative",
-    "surrogate_objective_value",
-    "surrogate_penalty",
     "target_unitary",
 ]

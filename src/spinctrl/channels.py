@@ -66,18 +66,14 @@ def choi_of_unitary(u: np.ndarray, atol: float = 1e-8) -> ChoiMatrix:
 def choi_of_env_channel(spec: ChainSpec, seq: ControlSequence) -> ChoiMatrix:
     """Choi state of rho -> Tr_env[ U_ext (rho ⊗ |0><0|) U_ext^dag ].
 
-    The dilation is applied column by column: the image of each matrix unit
-    |i><j| is the partial trace of the outer product of the dilated basis
-    columns U_ext(|i> ⊗ |0>).
+    With c[a, e, i] the component (a, e) of the dilated column U_ext(|i> ⊗ |0>),
+    the image of the matrix unit |i><j| is sum_e c[:, e, i] c[:, e, j]^dag;
+    its (a, b) entry sits at Choi row a*n + i and column b*n + j.
     """
     u_ext = propagate_with_env(spec, seq)
     n = spec.dim
-    cols = u_ext[:, ::2]  # U_ext applied to |i> ⊗ |0>, for i = 0..n-1
-    out = np.zeros((n * n, n * n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            block = linalg.partial_trace_last_qubit(np.outer(cols[:, i], cols[:, j].conj()))
-            out[i::n, j::n] = block / n
+    cols = u_ext[:, ::2].reshape(n, 2, n)
+    out = np.einsum("aei,bej->aibj", cols, cols.conj()).reshape(n * n, n * n) / n
     return ChoiMatrix(system_dim=n, matrix=out)
 
 

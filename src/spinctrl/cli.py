@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -56,26 +57,10 @@ class ExperimentConfig:
     min_fidelity: float | None = None
 
     def validate(self) -> None:
+        """Check what no domain object owns, then build every domain object so
+        that its own checks run; a rejection becomes a ConfigError."""
         if self.target not in TARGETS:
             raise ConfigError(f"unknown target {self.target!r}")
-        if self.n_pulses < 1:
-            raise ConfigError("n-pulses must be at least 1")
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
-        if not 0.0 <= self.mu <= 1.0:
-            raise ConfigError("mu must lie in [0, 1]")
-        if self.bound <= 0:
-            raise ConfigError("bound must be positive")
-        if self.surrogate not in SURROGATES:
-            raise ConfigError(f"unknown surrogate {self.surrogate!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("alpha must lie in (0, 1)")
-        if self.kT <= 0:
-            raise ConfigError("kt must be positive")
-        if self.gamma < 0:
-            raise ConfigError("gamma must be non-negative")
-        if self.restarts < 1:
-            raise ConfigError("restarts must be at least 1")
         n_sites = TARGETS[self.target][1]
         if len(self.initial_state) != n_sites or any(
             c not in "01" for c in self.initial_state
@@ -83,6 +68,15 @@ class ExperimentConfig:
             raise ConfigError(
                 f"initial-state must be a {n_sites}-bit string for target {self.target}"
             )
+        if self.min_fidelity is not None and not math.isfinite(self.min_fidelity):
+            raise ConfigError("min-fidelity must be finite")
+        try:
+            self.chain()
+            self.seq_template()
+            self.objective_config()
+            self.optimizer_config()
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
 
     def chain(self) -> ChainSpec:
         return ChainSpec(n_sites=TARGETS[self.target][1], gamma=self.gamma)
@@ -217,28 +211,31 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     target = merged.get("target")
     if target is None:
         raise ConfigError("a target must be given (--target or config file)")
-    if target not in TARGETS:
+    if not isinstance(target, str) or target not in TARGETS:
         raise ConfigError(f"unknown target {target!r}")
     n_sites = TARGETS[target][1]
 
-    cfg = ExperimentConfig(
-        target=target,
-        n_pulses=int(merged.get("n_pulses", _DEFAULT_PULSES[n_sites])),
-        dt=float(merged.get("dt", 0.2)),
-        mu=float(merged.get("mu", _DEFAULT_MU[n_sites])),
-        bound=float(merged.get("bound", 50.0)),
-        surrogate=str(merged.get("surrogate", "fermi_dirac")),
-        alpha=float(merged.get("alpha", 0.99)),
-        kT=float(merged.get("kT", 0.01)),
-        gamma=float(merged.get("gamma", 0.1)),
-        seed=int(merged.get("seed", 0)),
-        restarts=int(merged.get("restarts", 8)),
-        output_dir=str(merged.get("output_dir", ".")),
-        initial_state=str(merged.get("initial_state", _DEFAULT_STATE[n_sites])),
-        min_fidelity=(
-            float(merged["min_fidelity"]) if merged.get("min_fidelity") is not None else None
-        ),
-    )
+    try:
+        cfg = ExperimentConfig(
+            target=target,
+            n_pulses=int(merged.get("n_pulses", _DEFAULT_PULSES[n_sites])),
+            dt=float(merged.get("dt", 0.2)),
+            mu=float(merged.get("mu", _DEFAULT_MU[n_sites])),
+            bound=float(merged.get("bound", 50.0)),
+            surrogate=str(merged.get("surrogate", "fermi_dirac")),
+            alpha=float(merged.get("alpha", 0.99)),
+            kT=float(merged.get("kT", 0.01)),
+            gamma=float(merged.get("gamma", 0.1)),
+            seed=int(merged.get("seed", 0)),
+            restarts=int(merged.get("restarts", 8)),
+            output_dir=str(merged.get("output_dir", ".")),
+            initial_state=str(merged.get("initial_state", _DEFAULT_STATE[n_sites])),
+            min_fidelity=(
+                float(merged["min_fidelity"]) if merged.get("min_fidelity") is not None else None
+            ),
+        )
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"config value of the wrong type: {e}") from None
     cfg.validate()
     return cfg
 

@@ -2,7 +2,8 @@
 
 Everything operates on plain numpy arrays of complex128. Operators in this
 package never exceed dim 32 (four chain qubits plus one environment qubit),
-so all routines are dense and eigendecomposition-based.
+so all routines are dense. Exponentiation of Hamiltonians lives in the slice
+kernel of ``spinctrl.model``.
 """
 
 from __future__ import annotations
@@ -62,36 +63,6 @@ def is_unitary(m: np.ndarray, atol: float = ATOL) -> bool:
     m = np.asarray(m)
     eye = np.eye(m.shape[0])
     return bool(np.max(np.abs(m.conj().T @ m - eye)) < atol)
-
-
-def is_positive_semidefinite(m: np.ndarray, atol: float = ATOL) -> bool:
-    m = np.asarray(m)
-    if not is_hermitian(m, atol):
-        return False
-    return bool(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)) > -atol)
-
-
-def hermitian_eigh(h: np.ndarray, atol: float = ATOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, as (evals, evecs).
-
-    Rejects inputs deviating from Hermiticity by more than ``atol`` and
-    symmetrizes before ``eigh`` to absorb rounding.
-    """
-    h = np.asarray(h, dtype=np.complex128)
-    if not is_hermitian(h, atol):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigh((h + h.conj().T) / 2.0)
-
-
-def expm_minus_i(h: np.ndarray, t: float, atol: float = ATOL) -> np.ndarray:
-    """exp(-i*t*h) for Hermitian ``h``, via eigendecomposition.
-
-    The eigenvalues are real and the eigenvector matrix unitary, so the
-    result is unitary up to rounding.
-    """
-    evals, evecs = hermitian_eigh(h, atol)
-    phases = np.exp(-1j * t * evals)
-    return (evecs * phases) @ evecs.conj().T
 
 
 def partial_trace_last_qubit(m: np.ndarray) -> np.ndarray:

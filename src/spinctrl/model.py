@@ -1,5 +1,10 @@
-"""Heisenberg spin-chain model: Hamiltonians, piecewise-constant propagation
-and Bloch trajectories.
+"""Heisenberg spin-chain model and its slice kernel.
+
+One kernel builds the piecewise-constant slice Hamiltonians, on the bare chain
+or on chain + environment qubit (``slice_operators``, ``slice_hamiltonians``),
+diagonalizes them (``eigh_stack``) and exponentiates them
+(``propagators_from_eigh``). Propagation, Bloch trajectories and the pulse
+objective's gradient all run through it.
 
 Conventions: spin operators are the bare Pauli matrices; control-field
 amplitudes are in units of the chain coupling and times in its inverse.
@@ -9,6 +14,7 @@ U_n ... U_2 U_1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +39,10 @@ class ChainSpec:
     def __post_init__(self):
         if self.n_sites < 1:
             raise ValueError("chain needs at least one site")
-        if self.coupling <= 0:
-            raise ValueError("coupling must be positive")
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+        if not (math.isfinite(self.coupling) and self.coupling > 0):
+            raise ValueError("coupling must be positive and finite")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError("gamma must be non-negative and finite")
 
     @property
     def dim(self) -> int:
@@ -65,10 +71,12 @@ class ControlSequence:
             raise ValueError("hx and hy must be 1-D arrays of equal length")
         if hx.size < 1:
             raise ValueError("at least one pulse slice is required")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.bound <= 0:
-            raise ValueError("bound must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be positive and finite")
+        if not (math.isfinite(self.bound) and self.bound > 0):
+            raise ValueError("bound must be positive and finite")
+        if not (np.all(np.isfinite(hx)) and np.all(np.isfinite(hy))):
+            raise ValueError("pulse amplitudes must be finite")
         if max(np.max(np.abs(hx)), np.max(np.abs(hy))) > self.bound + 1e-12:
             raise ValueError("pulse amplitudes exceed the bound")
 
@@ -138,13 +146,6 @@ def drift_hamiltonian(spec: ChainSpec) -> np.ndarray:
     return spec.coupling * h
 
 
-def control_hamiltonian(hx: float, hy: float, n_sites: int) -> np.ndarray:
-    """Zeeman-like x/y field acting on the first site only."""
-    return hx * linalg.embed_single_site(
-        linalg.pauli("x"), 1, n_sites
-    ) + hy * linalg.embed_single_site(linalg.pauli("y"), 1, n_sites)
-
-
 def env_coupling_operator(n_sites: int) -> np.ndarray:
     """Star coupling of every chain site to an extra qubit appended last.
 
@@ -161,55 +162,51 @@ def env_coupling_operator(n_sites: int) -> np.ndarray:
     return c
 
 
-def env_hamiltonian(spec: ChainSpec, hx: float, hy: float) -> np.ndarray:
-    """Single-slice Hamiltonian on chain + environment qubit.
+@dataclass(frozen=True)
+class SliceOperators:
+    """The fixed operators of a chain's slice Hamiltonians.
 
-    The chain part is the drift plus the control field; the environment
-    qubit couples to every site with strength gamma * (|hx| + |hy|).
+    ``star`` is the environment coupling on chain + environment qubit and is
+    None on the bare chain, where every operator acts on the chain alone.
     """
-    if not spec.env_enabled:
-        raise ValueError("environment qubit is not enabled in this ChainSpec")
-    eye2 = np.eye(2, dtype=np.complex128)
-    chain_part = drift_hamiltonian(spec) + control_hamiltonian(hx, hy, spec.n_sites)
-    h = linalg.kron(chain_part, eye2)
-    strength = spec.gamma * (abs(hx) + abs(hy))
-    if strength != 0.0:
-        h = h + strength * env_coupling_operator(spec.n_sites)
-    return h
+
+    drift: np.ndarray
+    sx1: np.ndarray
+    sy1: np.ndarray
+    star: np.ndarray | None
+    gamma: float
 
 
-def slice_hamiltonians(spec: ChainSpec, seq: ControlSequence) -> np.ndarray:
-    """Stack of per-slice Hamiltonians, shape (n, dim, dim)."""
-    h0 = drift_hamiltonian(spec)
+def slice_operators(spec: ChainSpec) -> SliceOperators:
+    """Operators of ``slice_hamiltonians`` for ``spec``; the environment qubit
+    is appended last when ``spec.env_enabled`` is set."""
+    drift = drift_hamiltonian(spec)
     sx1 = linalg.embed_single_site(linalg.pauli("x"), 1, spec.n_sites)
     sy1 = linalg.embed_single_site(linalg.pauli("y"), 1, spec.n_sites)
-    return (
-        h0[None, :, :]
-        + seq.hx[:, None, None] * sx1[None, :, :]
-        + seq.hy[:, None, None] * sy1[None, :, :]
-    )
-
-
-def env_slice_hamiltonians(spec: ChainSpec, seq: ControlSequence) -> np.ndarray:
-    """Per-slice Hamiltonians on chain + environment qubit, shape (n, 2*dim, 2*dim)."""
     if not spec.env_enabled:
-        raise ValueError("environment qubit is not enabled in this ChainSpec")
+        return SliceOperators(drift, sx1, sy1, None, spec.gamma)
     eye2 = np.eye(2, dtype=np.complex128)
-    base = linalg.kron(drift_hamiltonian(spec), eye2)
-    sx1 = linalg.kron(
-        linalg.embed_single_site(linalg.pauli("x"), 1, spec.n_sites), eye2
+    return SliceOperators(
+        linalg.kron(drift, eye2),
+        linalg.kron(sx1, eye2),
+        linalg.kron(sy1, eye2),
+        env_coupling_operator(spec.n_sites),
+        spec.gamma,
     )
-    sy1 = linalg.kron(
-        linalg.embed_single_site(linalg.pauli("y"), 1, spec.n_sites), eye2
-    )
-    coupling = env_coupling_operator(spec.n_sites)
-    strength = spec.gamma * (np.abs(seq.hx) + np.abs(seq.hy))
-    return (
-        base[None, :, :]
-        + seq.hx[:, None, None] * sx1[None, :, :]
-        + seq.hy[:, None, None] * sy1[None, :, :]
-        + strength[:, None, None] * coupling[None, :, :]
-    )
+
+
+def slice_hamiltonians(ops: SliceOperators, hx: np.ndarray, hy: np.ndarray) -> np.ndarray:
+    """Stack of per-slice Hamiltonians, shape (n, dim, dim).
+
+    H_j = drift + hx_j*Sx^1 + hy_j*Sy^1; with the environment qubit, every
+    site also couples to it with strength gamma * (|hx_j| + |hy_j|).
+    """
+    h = ops.drift + hx[:, None, None] * ops.sx1 + hy[:, None, None] * ops.sy1
+    if ops.star is not None:
+        strength = ops.gamma * (np.abs(hx) + np.abs(hy))
+        # In place: one (n, dim, dim) temporary fewer at the peak.
+        h += strength[:, None, None] * ops.star
+    return h
 
 
 def eigh_stack(h_stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -233,15 +230,17 @@ def _ordered_product(props: np.ndarray) -> np.ndarray:
 
 
 def propagate(spec: ChainSpec, seq: ControlSequence) -> np.ndarray:
-    """Total unitary generated by the control sequence on the bare chain."""
-    evals, evecs = eigh_stack(slice_hamiltonians(spec, seq))
+    """Total unitary generated by the control sequence, on chain + environment
+    qubit when ``spec.env_enabled`` is set and on the bare chain otherwise."""
+    evals, evecs = eigh_stack(slice_hamiltonians(slice_operators(spec), seq.hx, seq.hy))
     return _ordered_product(propagators_from_eigh(evals, evecs, seq.dt))
 
 
 def propagate_with_env(spec: ChainSpec, seq: ControlSequence) -> np.ndarray:
     """Total unitary on chain + environment qubit, with pulse-proportional coupling."""
-    evals, evecs = eigh_stack(env_slice_hamiltonians(spec, seq))
-    return _ordered_product(propagators_from_eigh(evals, evecs, seq.dt))
+    if not spec.env_enabled:
+        raise ValueError("environment qubit is not enabled in this ChainSpec")
+    return propagate(spec, seq)
 
 
 def _qubit_bloch_vectors(psi: np.ndarray, n_sites: int) -> np.ndarray:
@@ -272,9 +271,11 @@ def bloch_trajectories(
         raise ValueError(
             f"initial state {initial_state!r} is not a {spec.n_sites}-bit string"
         )
+    if spec.env_enabled:
+        raise ValueError("Bloch trajectories are defined on the bare chain only")
     psi = np.zeros(spec.dim, dtype=np.complex128)
     psi[int(label, 2)] = 1.0
-    evals, evecs = eigh_stack(slice_hamiltonians(spec, seq))
+    evals, evecs = eigh_stack(slice_hamiltonians(slice_operators(spec), seq.hx, seq.hy))
     props = propagators_from_eigh(evals, evecs, seq.dt)
     out = np.empty((seq.n + 1, spec.n_sites, 3))
     out[0] = _qubit_bloch_vectors(psi, spec.n_sites)

@@ -16,14 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .model import (
     ChainSpec,
     ControlSequence,
     TargetGate,
-    drift_hamiltonian,
     eigh_stack,
     propagate,
+    propagators_from_eigh,
+    slice_hamiltonians,
+    slice_operators,
     target_unitary,
 )
 
@@ -53,8 +54,8 @@ class ObjectiveConfig:
             raise ValueError(f"unknown surrogate {self.surrogate!r}; expected one of {SURROGATES}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.kT <= 0.0:
-            raise ValueError("kT must be positive")
+        if not (math.isfinite(self.kT) and self.kT > 0.0):
+            raise ValueError("kT must be positive and finite")
 
 
 def fidelity(u_target: np.ndarray, u: np.ndarray) -> float:
@@ -71,14 +72,6 @@ def penalty(seq: ControlSequence) -> float:
     """Normalized total pulse magnitude; equals 1 when every pulse sits at ±bound."""
     total = np.sum(np.abs(seq.hx)) + np.sum(np.abs(seq.hy))
     return float(total / (2.0 * seq.n * seq.bound))
-
-
-def objective_value(
-    spec: ChainSpec, seq: ControlSequence, target: TargetGate, cfg: ObjectiveConfig
-) -> float:
-    """(1 - mu) * penalty - mu * fidelity: the reported minimization target."""
-    f = fidelity(target_unitary(target), propagate(spec, seq))
-    return (1.0 - cfg.mu) * penalty(seq) - cfg.mu * f
 
 
 def surrogate_abs_derivative(x, cfg: ObjectiveConfig):
@@ -117,20 +110,6 @@ def surrogate_abs(x, cfg: ObjectiveConfig):
     return out if arr.ndim else float(out)
 
 
-def surrogate_penalty(seq: ControlSequence, cfg: ObjectiveConfig) -> float:
-    """Penalty with the smoothed absolute value; what the optimizer sees."""
-    total = np.sum(surrogate_abs(seq.hx, cfg)) + np.sum(surrogate_abs(seq.hy, cfg))
-    return float(total / (2.0 * seq.n * seq.bound))
-
-
-def surrogate_objective_value(
-    spec: ChainSpec, seq: ControlSequence, target: TargetGate, cfg: ObjectiveConfig
-) -> float:
-    """(1 - mu) * surrogate_penalty - mu * fidelity: the minimized functional."""
-    f = fidelity(target_unitary(target), propagate(spec, seq))
-    return (1.0 - cfg.mu) * surrogate_penalty(seq, cfg) - cfg.mu * f
-
-
 class PulseObjective:
     """Evaluates the minimized functional and its exact gradient for a flat
     pulse vector x = [hx_1..hx_n, hy_1..hy_n].
@@ -150,6 +129,8 @@ class PulseObjective:
         bound: float,
         cfg: ObjectiveConfig,
     ):
+        if spec.env_enabled:
+            raise ValueError("pulses are optimized on the bare chain; disable the environment qubit")
         if target.n_sites != spec.n_sites:
             raise ValueError("target and chain have different site counts")
         self.spec = spec
@@ -159,9 +140,7 @@ class PulseObjective:
         self.bound = float(bound)
         self.cfg = cfg
         self.dim = spec.dim
-        self._h0 = drift_hamiltonian(spec)
-        self._sx1 = linalg.embed_single_site(linalg.pauli("x"), 1, spec.n_sites)
-        self._sy1 = linalg.embed_single_site(linalg.pauli("y"), 1, spec.n_sites)
+        self._ops = slice_operators(spec)
         self._ut_dag = target_unitary(target).conj().T
         self._eye = np.eye(self.dim, dtype=np.complex128)
         self._last_key: bytes | None = None
@@ -187,15 +166,9 @@ class PulseObjective:
         x = np.asarray(x, dtype=np.float64)
         hx, hy = x[:n], x[n:]
 
-        h_stack = (
-            self._h0[None, :, :]
-            + hx[:, None, None] * self._sx1[None, :, :]
-            + hy[:, None, None] * self._sy1[None, :, :]
-        )
-        evals, evecs = eigh_stack(h_stack)
-        phases = np.exp(-1j * dt * evals)
+        evals, evecs = eigh_stack(slice_hamiltonians(self._ops, hx, hy))
+        props = propagators_from_eigh(evals, evecs, dt)
         vdag = evecs.conj().swapaxes(-1, -2)
-        props = (evecs * phases[:, None, :]) @ vdag
 
         fwd = np.empty((n + 1, dim, dim), dtype=np.complex128)
         fwd[0] = self._eye
@@ -220,8 +193,8 @@ class PulseObjective:
 
         g_stack = (fwd[:n] @ self._ut_dag) @ bwd[1:]
         a_stack = vdag @ g_stack @ evecs
-        ex = vdag @ self._sx1 @ evecs
-        ey = vdag @ self._sy1 @ evecs
+        ex = vdag @ self._ops.sx1 @ evecs
+        ey = vdag @ self._ops.sy1 @ evecs
         a_t = a_stack.swapaxes(-1, -2)
         tx = np.sum(a_t * (kernel * ex), axis=(1, 2))
         ty = np.sum(a_t * (kernel * ey), axis=(1, 2))
@@ -247,21 +220,3 @@ class PulseObjective:
         true_pen = float(np.sum(np.abs(x)) / (2.0 * n * self.bound))
         self._stash(x, float(fid), true_pen)
         return value, grad
-
-    def value(self, x: np.ndarray) -> float:
-        return self.value_and_grad(x)[0]
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.value_and_grad(x)[1]
-
-
-def objective_gradient(
-    spec: ChainSpec, seq: ControlSequence, target: TargetGate, cfg: ObjectiveConfig
-) -> np.ndarray:
-    """Gradient of the surrogate functional wrt all 2n pulse amplitudes.
-
-    Ordering: [d/dhx_1 .. d/dhx_n, d/dhy_1 .. d/dhy_n]. The penalty term uses
-    the configured surrogate in place of d|x|/dx; the fidelity term is exact.
-    """
-    po = PulseObjective(spec, target, seq.n, seq.dt, seq.bound, cfg)
-    return po.value_and_grad(seq.pulse_vector())[1]

@@ -34,6 +34,8 @@ class OptimizerConfig:
             raise ValueError("restarts must be at least 1")
         if self.init_amplitude < 0:
             raise ValueError("init_amplitude must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass
@@ -99,32 +101,23 @@ def _wolfe_search(vag, x, p, f0, g0, c1, c2, max_trials=_MAX_LINE_SEARCH_TRIALS)
 
 
 def bfgs_minimize(
-    objective: Callable[[np.ndarray], float] | None,
-    gradient: Callable[[np.ndarray], np.ndarray] | None,
+    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     x0: np.ndarray,
     bound: float,
     cfg: OptimizerConfig,
     *,
-    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]] | None = None,
     callback: Callable[[np.ndarray, float], None] | None = None,
 ) -> tuple[np.ndarray, BfgsInfo]:
     """Minimize inside the box |x_i| <= bound.
 
-    ``objective`` and ``gradient`` must be consistent (the caller guarantees
-    it); passing a fused ``value_and_grad`` instead halves the work when both
-    are needed. Iterates are clamped into the box after each line-search
-    step; the inverse-Hessian approximation is reset to identity whenever
-    clamping actually bites or the curvature product s·y drops below 1e-12.
-    A failed line search terminates the run at the best point so far, with
-    the failure flagged in the returned info.
+    ``value_and_grad`` returns the objective and its gradient at a point;
+    the two must be consistent (the caller guarantees it). Iterates are
+    clamped into the box after each line-search step; the inverse-Hessian
+    approximation is reset to identity whenever clamping actually bites or
+    the curvature product s·y drops below 1e-12. A failed line search
+    terminates the run at the best point so far, with the failure flagged in
+    the returned info.
     """
-    if value_and_grad is None:
-        if objective is None or gradient is None:
-            raise ValueError("pass objective and gradient, or value_and_grad")
-
-        def value_and_grad(x, _f=objective, _g=gradient):
-            return float(_f(x)), np.asarray(_g(x), dtype=np.float64)
-
     x = np.clip(np.asarray(x0, dtype=np.float64), -bound, bound)
     f, g = value_and_grad(x)
     dim = x.size
@@ -251,13 +244,7 @@ def optimize_controls(
             _rows.append((fa, fid, pen))
 
         x, info = bfgs_minimize(
-            None,
-            None,
-            x0,
-            seq_template.bound,
-            opt_cfg,
-            value_and_grad=po.value_and_grad,
-            callback=record,
+            po.value_and_grad, x0, seq_template.bound, opt_cfg, callback=record
         )
         fid, pen = po.recorded_metrics(x)
         g_true = (1.0 - obj_cfg.mu) * pen - obj_cfg.mu * fid

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spinctrl import linalg
 from spinctrl.channels import (
@@ -127,7 +128,7 @@ class TestChoiOfEnvChannel:
         env_spec = ChainSpec(n_sites=2, env_enabled=True, gamma=0.3)
         seq = ControlSequence.zeros(4, 0.2, 10.0)
         a = choi_of_env_channel(env_spec, seq)
-        drift_u = linalg.expm_minus_i(drift_hamiltonian(ChainSpec(n_sites=2)), 4 * 0.2)
+        drift_u = scipy.linalg.expm(-1j * 4 * 0.2 * drift_hamiltonian(ChainSpec(n_sites=2)))
         b = choi_of_unitary(drift_u)
         assert np.max(np.abs(a.matrix - b.matrix)) < 1e-10
 

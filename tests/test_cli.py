@@ -77,10 +77,30 @@ class TestRunCommand:
         assert main(tiny_run_args(dir_b)) == 0
         assert (dir_a / "result.json").read_bytes() == (dir_b / "result.json").read_bytes()
 
-    def test_invalid_config_exits_2_without_files(self, tmp_path):
+    @pytest.mark.parametrize(
+        "flags,config",
+        [
+            pytest.param({"mu": "1.5"}, None, id="mu_1.5"),
+            pytest.param({"dt": "nan"}, None, id="dt_nan"),
+            pytest.param({"bound": "inf"}, None, id="bound_inf"),
+            pytest.param({"gamma": "nan"}, None, id="gamma_nan"),
+            pytest.param({"kt": "nan"}, None, id="kt_nan"),
+            pytest.param({"min_fidelity": "nan"}, None, id="min_fidelity_nan"),
+            pytest.param({"seed": "-1"}, None, id="seed_negative"),
+            pytest.param(None, {"n_pulses": "abc"}, id="file_n_pulses_abc"),
+            pytest.param(None, {"dt": None}, id="file_dt_null"),
+            pytest.param(None, {"target": ["not3"]}, id="file_target_list"),
+        ],
+    )
+    def test_invalid_config_exits_2_without_files(self, tmp_path, flags, config):
         out = tmp_path / "out"
-        code = main(tiny_run_args(out, mu="1.5"))
-        assert code == 2
+        if config is None:
+            args = tiny_run_args(out, **flags)
+        else:
+            cfg_file = tmp_path / "cfg.json"
+            cfg_file.write_text(json.dumps({"target": "not3", **config}))
+            args = ["run", "--config", str(cfg_file), "--output-dir", str(out)]
+        assert main(args) == 2
         assert not out.exists()
 
     def test_malformed_flag_exits_2(self, tmp_path):

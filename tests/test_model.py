@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinctrl import linalg
 from spinctrl.model import (
@@ -8,12 +10,11 @@ from spinctrl.model import (
     ControlSequence,
     TargetGate,
     bloch_trajectories,
-    control_hamiltonian,
     drift_hamiltonian,
-    env_hamiltonian,
     propagate,
     propagate_with_env,
     slice_hamiltonians,
+    slice_operators,
     target_unitary,
 )
 
@@ -34,6 +35,42 @@ def random_seq(rng, n, dt=0.2, bound=10.0, scale=1.0):
     )
 
 
+def one_slice(spec, hx, hy):
+    """The kernel's Hamiltonian of a single slice with fields (hx, hy)."""
+    return slice_hamiltonians(slice_operators(spec), np.array([hx]), np.array([hy]))[0]
+
+
+def control_part(hx, hy, n_sites):
+    """The kernel's slice Hamiltonian minus the drift: the field on site 1."""
+    spec = ChainSpec(n_sites=n_sites)
+    return one_slice(spec, hx, hy) - drift_hamiltonian(spec)
+
+
+def env_oracle_n2(gamma, hx, hy):
+    """Oracle: chain + environment slice Hamiltonian for N=2 from explicit
+    Kronecker factors, with the environment qubit last."""
+    h = sum(kron_chain(s, s, I2) for s in (SX, SY, SZ))
+    h = h + hx * kron_chain(SX, I2, I2) + hy * kron_chain(SY, I2, I2)
+    star = sum(kron_chain(s, I2, s) + kron_chain(I2, s, s) for s in (SX, SY, SZ))
+    return h + gamma * (abs(hx) + abs(hy)) * star
+
+
+def flip_all(n_qubits):
+    """X on every qubit."""
+    return kron_chain(*[SX] * n_qubits)
+
+
+def z_rotation(phi, n_qubits):
+    """Diagonal exp(-i*phi*sum_k Sz^k/2) in the computational basis."""
+    bits = (np.arange(2**n_qubits)[:, None] >> np.arange(n_qubits)) & 1
+    return np.diag(np.exp(-0.5j * phi * np.sum(1 - 2 * bits, axis=1)))
+
+
+pulse_lists = st.lists(
+    st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=1, max_size=6
+)
+
+
 class TestSpecs:
     def test_chain_validation(self):
         with pytest.raises(ValueError):
@@ -42,6 +79,8 @@ class TestSpecs:
             ChainSpec(n_sites=2, coupling=0.0)
         with pytest.raises(ValueError):
             ChainSpec(n_sites=2, gamma=-0.1)
+        with pytest.raises(ValueError):
+            ChainSpec(n_sites=2, gamma=float("nan"))
 
     def test_sequence_validation(self):
         with pytest.raises(ValueError):
@@ -50,6 +89,8 @@ class TestSpecs:
             ControlSequence(hx=[1.0], hy=[1.0], dt=0.0, bound=10.0)
         with pytest.raises(ValueError):
             ControlSequence(hx=[11.0], hy=[0.0], dt=0.2, bound=10.0)
+        with pytest.raises(ValueError):
+            ControlSequence(hx=[float("nan")], hy=[0.0], dt=0.2, bound=10.0)
 
     def test_sequence_vector_roundtrip(self):
         seq = ControlSequence(hx=[1.0, -2.0], hy=[0.5, 3.0], dt=0.1, bound=5.0)
@@ -89,43 +130,40 @@ class TestDriftHamiltonian:
 
 class TestControlHamiltonian:
     def test_zero_fields(self):
-        assert np.array_equal(control_hamiltonian(0.0, 0.0, 2), np.zeros((4, 4)))
+        assert np.array_equal(control_part(0.0, 0.0, 2), np.zeros((4, 4)))
 
     def test_single_qubit(self):
-        assert np.array_equal(control_hamiltonian(1.0, 0.0, 1), SX)
+        assert np.array_equal(control_part(1.0, 0.0, 1), SX)
 
     def test_anticommutes_with_sz_on_first_site(self):
-        hc = control_hamiltonian(0.7, -1.3, 3)
+        hc = control_part(0.7, -1.3, 3)
         sz1 = kron_chain(SZ, I2, I2)
         assert np.allclose(hc @ sz1 + sz1 @ hc, 0.0, atol=1e-14)
 
 
 class TestEnvHamiltonian:
     def test_requires_env(self):
-        with pytest.raises(ValueError):
-            env_hamiltonian(ChainSpec(n_sites=2), 1.0, 0.0)
+        # the environment qubit and its coupling appear only when enabled
+        ops = slice_operators(ChainSpec(n_sites=2, gamma=0.3))
+        assert ops.star is None
+        assert slice_hamiltonians(ops, np.array([1.0]), np.array([0.0])).shape == (1, 4, 4)
 
     def test_zero_pulses_decouple(self):
         spec = ChainSpec(n_sites=2, env_enabled=True, gamma=0.3)
         expected = np.kron(drift_hamiltonian(ChainSpec(n_sites=2)), I2)
-        assert np.allclose(env_hamiltonian(spec, 0.0, 0.0), expected, atol=1e-14)
+        assert np.allclose(one_slice(spec, 0.0, 0.0), expected, atol=1e-14)
 
     def test_gamma_zero_decouples(self):
         spec = ChainSpec(n_sites=2, env_enabled=True, gamma=0.0)
-        chain_part = drift_hamiltonian(ChainSpec(n_sites=2)) + control_hamiltonian(1.2, -0.4, 2)
-        assert np.allclose(env_hamiltonian(spec, 1.2, -0.4), np.kron(chain_part, I2), atol=1e-14)
+        chain_part = one_slice(ChainSpec(n_sites=2), 1.2, -0.4)
+        assert np.allclose(one_slice(spec, 1.2, -0.4), np.kron(chain_part, I2), atol=1e-14)
 
     def test_coupling_block_term_by_term(self):
-        # oracle: explicit Kronecker sum of the star coupling for N=2
         spec = ChainSpec(n_sites=2, env_enabled=True, gamma=0.1)
-        h = env_hamiltonian(spec, 1.0, 0.0)
-        base = np.kron(
-            drift_hamiltonian(ChainSpec(n_sites=2)) + control_hamiltonian(1.0, 0.0, 2), I2
+        assert np.allclose(one_slice(spec, 1.0, 0.0), env_oracle_n2(0.1, 1.0, 0.0), atol=1e-14)
+        assert np.allclose(
+            one_slice(spec, -0.6, 1.7), env_oracle_n2(0.1, -0.6, 1.7), atol=1e-14
         )
-        coupling = np.zeros((8, 8), dtype=complex)
-        for s in (SX, SY, SZ):
-            coupling += kron_chain(s, I2, s) + kron_chain(I2, s, s)
-        assert np.allclose(h - base, 0.1 * coupling, atol=1e-14)
 
 
 class TestPropagate:
@@ -145,7 +183,8 @@ class TestPropagate:
         spec = ChainSpec(n_sites=2)
         seq = random_seq(rng, 5)
         u = np.eye(4, dtype=complex)
-        for h in slice_hamiltonians(spec, seq):
+        for hx, hy in zip(seq.hx, seq.hy):
+            h = drift_hamiltonian(spec) + hx * kron_chain(SX, I2) + hy * kron_chain(SY, I2)
             u = scipy.linalg.expm(-1j * seq.dt * h) @ u
         assert np.allclose(propagate(spec, seq), u, atol=1e-10)
 
@@ -163,8 +202,8 @@ class TestPropagate:
         seq = random_seq(rng, 6)
         u = propagate(spec, seq)
         u_rev = np.eye(4, dtype=complex)
-        for h in slice_hamiltonians(spec, seq)[::-1]:
-            u_rev = linalg.expm_minus_i(h, -seq.dt) @ u_rev
+        for h in slice_hamiltonians(slice_operators(spec), seq.hx, seq.hy)[::-1]:
+            u_rev = scipy.linalg.expm(1j * seq.dt * h) @ u_rev
         assert np.max(np.abs(u_rev @ u - np.eye(4))) < 1e-8
 
 
@@ -183,7 +222,7 @@ class TestPropagateWithEnv:
     def test_zero_pulses_drift_only(self):
         spec = ChainSpec(n_sites=2, env_enabled=True, gamma=0.2)
         seq = ControlSequence.zeros(5, 0.2, 10.0)
-        drift_u = linalg.expm_minus_i(drift_hamiltonian(ChainSpec(n_sites=2)), 5 * 0.2)
+        drift_u = scipy.linalg.expm(-1j * 5 * 0.2 * drift_hamiltonian(ChainSpec(n_sites=2)))
         assert np.allclose(propagate_with_env(spec, seq), np.kron(drift_u, I2), atol=1e-10)
 
     def test_matches_expm_oracle(self):
@@ -192,7 +231,7 @@ class TestPropagateWithEnv:
         seq = random_seq(rng, 4)
         u = np.eye(8, dtype=complex)
         for hx, hy in zip(seq.hx, seq.hy):
-            u = scipy.linalg.expm(-1j * seq.dt * env_hamiltonian(spec, hx, hy)) @ u
+            u = scipy.linalg.expm(-1j * seq.dt * env_oracle_n2(0.1, hx, hy)) @ u
         assert np.allclose(propagate_with_env(spec, seq), u, atol=1e-10)
 
 
@@ -225,7 +264,7 @@ class TestBlochTrajectories:
         # independently evolve the state and check reduced-state eigenvalues
         psi = np.zeros(8, dtype=complex)
         psi[int("010", 2)] = 1.0
-        for j, h in enumerate(slice_hamiltonians(spec, seq)):
+        for h in slice_hamiltonians(slice_operators(spec), seq.hx, seq.hy):
             psi = scipy.linalg.expm(-1j * seq.dt * h) @ psi
             assert np.isclose(np.linalg.norm(psi), 1.0, atol=1e-10)
         rho_full = np.outer(psi, psi.conj()).reshape(2, 4, 2, 4)
@@ -241,6 +280,8 @@ class TestBlochTrajectories:
             bloch_trajectories(spec, seq, "012")
         with pytest.raises(ValueError):
             bloch_trajectories(spec, seq, "0")
+        with pytest.raises(ValueError):
+            bloch_trajectories(ChainSpec(n_sites=2, env_enabled=True), seq, "01")
 
 
 class TestTargetUnitary:
@@ -267,3 +308,33 @@ class TestTargetUnitary:
     def test_involutory(self, kind, n_sites):
         u = target_unitary(TargetGate(kind, n_sites))
         assert np.allclose(u @ u, np.eye(2**n_sites))
+
+
+class TestSymmetries:
+    """Covariances of the isotropic chain under the slice kernel."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([1, 2, 3]), st.floats(-np.pi, np.pi), pulse_lists)
+    def test_rotation_about_z(self, n_sites, phi, pulses):
+        # rotating every (hx, hy) by phi conjugates U by exp(-i*phi*sum Sz/2)
+        hx, hy = np.array(pulses).T
+        c, s = np.cos(phi), np.sin(phi)
+        spec = ChainSpec(n_sites=n_sites)
+        u = propagate(spec, ControlSequence(hx=hx, hy=hy, dt=0.2, bound=5.0))
+        u_rot = propagate(
+            spec, ControlSequence(hx=c * hx - s * hy, hy=s * hx + c * hy, dt=0.2, bound=5.0)
+        )
+        d = z_rotation(phi, n_sites)
+        assert np.max(np.abs(u_rot - d @ u @ d.conj().T)) < 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([1, 2, 3]), st.sampled_from([False, True]), pulse_lists)
+    def test_global_spin_flip(self, n_sites, env, pulses):
+        # hy -> -hy conjugates U by X on every qubit, the environment's included
+        hx, hy = np.array(pulses).T
+        spec = ChainSpec(n_sites=n_sites, env_enabled=env, gamma=0.1)
+        run = propagate_with_env if env else propagate
+        u = run(spec, ControlSequence(hx=hx, hy=hy, dt=0.2, bound=5.0))
+        u_flip = run(spec, ControlSequence(hx=hx, hy=-hy, dt=0.2, bound=5.0))
+        x = flip_all(n_sites + env)
+        assert np.max(np.abs(u_flip - x @ u @ x)) < 1e-12

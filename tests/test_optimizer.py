@@ -11,6 +11,11 @@ from spinctrl.optimizer import (
 )
 
 
+def fused(f, g):
+    """The (value, gradient) callable bfgs_minimize takes."""
+    return lambda x: (f(x), g(x))
+
+
 class TestBfgsMinimize:
     def test_quadratic(self):
         rng = np.random.default_rng(1)
@@ -25,7 +30,7 @@ class TestBfgsMinimize:
             return 2.0 * a @ (x - c)
 
         cfg = OptimizerConfig(max_iters=50, grad_tol=1e-10)
-        x, info = bfgs_minimize(f, g, np.zeros(4), bound=100.0, cfg=cfg)
+        x, info = bfgs_minimize(fused(f, g), np.zeros(4), bound=100.0, cfg=cfg)
         assert np.max(np.abs(x - c)) < 1e-8
         assert info.iterations <= 50
 
@@ -53,7 +58,7 @@ class TestBfgsMinimize:
             return np.array([surrogate(x[0])])
 
         cfg = OptimizerConfig(max_iters=500, grad_tol=1e-6)
-        x, _ = bfgs_minimize(f, g, np.array([0.7]), bound=1.0, cfg=cfg)
+        x, _ = bfgs_minimize(fused(f, g), np.array([0.7]), bound=1.0, cfg=cfg)
         assert abs(x[0] - root) < 5 * obj_cfg.kT
 
     def test_rosenbrock(self):
@@ -69,7 +74,7 @@ class TestBfgsMinimize:
             )
 
         cfg = OptimizerConfig(max_iters=2000, grad_tol=1e-9)
-        x, info = bfgs_minimize(f, g, np.array([-1.2, 1.0]), bound=50.0, cfg=cfg)
+        x, info = bfgs_minimize(fused(f, g), np.array([-1.2, 1.0]), bound=50.0, cfg=cfg)
         # oracle: an independent reference minimizer agrees
         ref = scipy.optimize.minimize(f, np.array([-1.2, 1.0]), jac=g, method="BFGS")
         assert np.max(np.abs(x - np.array([1.0, 1.0]))) < 1e-6
@@ -87,7 +92,7 @@ class TestBfgsMinimize:
         def g(x):
             return 2.0 * a @ (x - c)
 
-        _, info = bfgs_minimize(f, g, np.zeros(6), bound=100.0, cfg=OptimizerConfig())
+        _, info = bfgs_minimize(fused(f, g), np.zeros(6), bound=100.0, cfg=OptimizerConfig())
         diffs = np.diff(info.objective_trace)
         assert np.all(diffs <= 0.0)
 
@@ -99,15 +104,11 @@ class TestBfgsMinimize:
         def g(x):
             return 2.0 * (x - 3.0)
 
-        x, info = bfgs_minimize(f, g, np.zeros(2), bound=1.0, cfg=OptimizerConfig(max_iters=200))
+        x, info = bfgs_minimize(fused(f, g), np.zeros(2), bound=1.0, cfg=OptimizerConfig(max_iters=200))
         assert np.all(np.abs(x) <= 1.0)
         assert np.allclose(x, 1.0, atol=1e-9)
         diffs = np.diff(info.objective_trace)
         assert np.all(diffs <= 0.0)
-
-    def test_requires_some_objective(self):
-        with pytest.raises(ValueError):
-            bfgs_minimize(None, None, np.zeros(2), 1.0, OptimizerConfig())
 
     def test_line_search_failure_flagged(self):
         # |x| with the hard sign gradient: the strong Wolfe curvature
@@ -119,7 +120,7 @@ class TestBfgsMinimize:
         def g(x):
             return np.array([np.sign(x[0])])
 
-        x, info = bfgs_minimize(f, g, np.array([0.7]), bound=1.0, cfg=OptimizerConfig())
+        x, info = bfgs_minimize(fused(f, g), np.array([0.7]), bound=1.0, cfg=OptimizerConfig())
         assert info.line_search_failed
         assert not info.converged
         assert f(x) <= 0.7  # never worse than the start
@@ -131,6 +132,8 @@ class TestBfgsMinimize:
             OptimizerConfig(max_iters=0)
         with pytest.raises(ValueError):
             OptimizerConfig(restarts=0)
+        with pytest.raises(ValueError):
+            OptimizerConfig(seed=-1)
 
 
 class TestOptimizeControls:
