@@ -1,18 +1,18 @@
 """Command-line driver: runs pulse optimizations and robustness comparisons,
 writing JSON results and CSV time series.
 
-Exit codes: 0 on success, 2 on invalid configuration (nothing written),
-3 when the optional --min-fidelity gate rejects the optimized result.
+Exit codes: 0 on success, 2 on invalid configuration or an unusable output
+directory (nothing written), 3 when the optional --min-fidelity gate rejects
+the optimized result.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, Field, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,47 +29,79 @@ TARGETS = {
     "swap4": ("SWAP", 4),
 }
 
-# Defaults that depend on the chain size of the chosen target.
-_DEFAULT_PULSES = {3: 64, 4: 256}
-_DEFAULT_MU = {3: 0.2, 4: 0.4}
-_DEFAULT_STATE = {3: "000", 4: "0010"}
+# Defaults that depend on the chain size of the chosen target; the fields
+# they fill default to None.
+_SIZE_DEFAULTS = {
+    3: {"n_pulses": 64, "mu": 0.2, "initial_state": "000"},
+    4: {"n_pulses": 256, "mu": 0.4, "initial_state": "0010"},
+}
+# Parameters that only `run` takes as flags; a config file may set them for both.
+_RUN_ONLY = ("initial_state", "min_fidelity")
 
 
 class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class ExperimentConfig:
-    target: str
-    n_pulses: int
-    dt: float
-    mu: float
-    bound: float
-    surrogate: str
-    alpha: float
-    kT: float
-    gamma: float
-    seed: int
-    restarts: int
-    output_dir: str
-    initial_state: str
-    min_fidelity: float | None = None
+def _param(kind: type, help: str, default=None, **flag):
+    """A run parameter: its value type, its default, and its flag's help text
+    and further argparse keywords."""
+    return field(default=default, metadata={"kind": kind, "help": help, "flag": flag})
 
-    def validate(self) -> None:
-        """Check what no domain object owns, then build every domain object so
-        that its own checks run; a rejection becomes a ConfigError."""
-        if self.target not in TARGETS:
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """The parameters of one experiment, each a flag (``--kt`` for ``kT``) and
+    a config-file key. Construction coerces and checks every value, so a
+    config exists only in a valid state. None selects the target's default
+    for ``n_pulses``, ``mu`` and ``initial_state`` and disables the
+    ``min_fidelity`` gate."""
+
+    target: str = _param(str, "target gate and chain size", MISSING, choices=sorted(TARGETS))
+    n_pulses: int | None = _param(int, "pulse slices per direction")
+    dt: float = _param(float, "slice duration", 0.2)
+    mu: float | None = _param(float, "fidelity weight")
+    bound: float = _param(float, "max pulse amplitude", 50.0)
+    surrogate: str = _param(str, "d|x|/dx stand-in", "fermi_dirac", choices=SURROGATES)
+    alpha: float = _param(float, "fractional surrogate exponent", 0.99)
+    kT: float = _param(float, "Fermi-Dirac temperature", 0.01)
+    gamma: float = _param(float, "environment coupling coefficient", 0.1)
+    seed: int = _param(int, "RNG seed", 0)
+    restarts: int = _param(int, "independent BFGS restarts", 8)
+    output_dir: str = _param(str, "directory for result files", ".")
+    initial_state: str | None = _param(str, "basis state for trajectories")
+    min_fidelity: float | None = _param(
+        float, "exit 3 if the optimized fidelity falls below this gate"
+    )
+
+    def __post_init__(self):
+        if not isinstance(self.target, str) or self.target not in TARGETS:
             raise ConfigError(f"unknown target {self.target!r}")
         n_sites = TARGETS[self.target][1]
-        if len(self.initial_state) != n_sites or any(
-            c not in "01" for c in self.initial_state
-        ):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None:
+                value = _SIZE_DEFAULTS[n_sites].get(f.name)
+                if value is None and f.default is None:
+                    continue
+            kind = f.metadata["kind"]
+            if kind is str:
+                if not isinstance(value, str):
+                    raise ConfigError(f"{f.name} must be a string, not {value!r}")
+            else:
+                try:
+                    value = kind(value)
+                except (TypeError, ValueError, OverflowError) as e:
+                    raise ConfigError(f"{f.name} has the wrong type: {e}") from None
+            object.__setattr__(self, f.name, value)
+
+        if len(self.initial_state) != n_sites or any(c not in "01" for c in self.initial_state):
             raise ConfigError(
-                f"initial-state must be a {n_sites}-bit string for target {self.target}"
+                f"initial_state must be a {n_sites}-bit string for target {self.target}"
             )
-        if self.min_fidelity is not None and not math.isfinite(self.min_fidelity):
-            raise ConfigError("min-fidelity must be finite")
+        if self.min_fidelity is not None and not 0.0 <= self.min_fidelity <= 1.0:
+            raise ConfigError("min_fidelity must lie in [0, 1]")
+        # Build every domain object so that its own checks run.
         try:
             self.chain()
             self.seq_template()
@@ -101,36 +133,34 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         """The semantic experiment parameters, echoed into every JSON output."""
-        return {
-            "target": self.target,
-            "n_pulses": self.n_pulses,
-            "dt": self.dt,
-            "mu": self.mu,
-            "bound": self.bound,
-            "surrogate": self.surrogate,
-            "alpha": self.alpha,
-            "kT": self.kT,
-            "gamma": self.gamma,
-            "seed": self.seed,
-            "restarts": self.restarts,
-            "initial_state": self.initial_state,
-        }
+        params = asdict(self)
+        del params["output_dir"], params["min_fidelity"]
+        return params
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--target", choices=sorted(TARGETS), help="target gate and chain size")
-    p.add_argument("--n-pulses", type=int, help="pulse slices per direction (default 64/256)")
-    p.add_argument("--dt", type=float, help="slice duration (default 0.2)")
-    p.add_argument("--mu", type=float, help="fidelity weight (default 0.2/0.4)")
-    p.add_argument("--bound", type=float, help="max pulse amplitude (default 50)")
-    p.add_argument("--surrogate", choices=SURROGATES, help="d|x|/dx stand-in (default fermi_dirac)")
-    p.add_argument("--alpha", type=float, help="fractional surrogate exponent (default 0.99)")
-    p.add_argument("--kt", type=float, dest="kt", help="Fermi-Dirac temperature (default 0.01)")
-    p.add_argument("--gamma", type=float, help="environment coupling coefficient (default 0.1)")
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    p.add_argument("--restarts", type=int, help="independent BFGS restarts (default 8)")
-    p.add_argument("--output-dir", help="directory for result files (default .)")
-    p.add_argument("--config", help="JSON file with defaults; explicit flags win")
+def _default_text(f: Field) -> str:
+    """The help's "(default ...)" suffix; one value per chain size where it depends on it."""
+    shown = [table[f.name] for _, table in sorted(_SIZE_DEFAULTS.items()) if f.name in table]
+    if not shown:
+        if f.default is MISSING:
+            return ""
+        shown = ["disabled" if f.default is None else f.default]
+    text = "/".join(f"{v:g}" if isinstance(v, float) else str(v) for v in shown)
+    return f" (default {text})"
+
+
+def _add_flags(p: argparse.ArgumentParser, names) -> None:
+    """One flag per named field; an absent flag leaves no attribute behind."""
+    for f in fields(ExperimentConfig):
+        if f.name in names:
+            p.add_argument(
+                "--" + f.name.lower().replace("_", "-"),
+                dest=f.name,
+                type=f.metadata["kind"],
+                default=argparse.SUPPRESS,
+                help=f.metadata["help"] + _default_text(f),
+                **f.metadata["flag"],
+            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,41 +169,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Synthesize sparse control pulses for Heisenberg spin chains.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    run = sub.add_parser("run", help="optimize pulses and export result/pulse/trajectory files")
-    _add_common_flags(run)
-    run.add_argument("--initial-state", help="basis state for trajectories (default 000/0010)")
-    run.add_argument(
-        "--min-fidelity",
-        type=float,
-        help="exit 3 if the optimized fidelity falls below this gate (default disabled)",
-    )
-    rob = sub.add_parser(
-        "robustness", help="compare mu=1 and mu<1 solutions through Choi distances"
-    )
-    _add_common_flags(rob)
+    common = [f.name for f in fields(ExperimentConfig) if f.name not in _RUN_ONLY]
+    for command, help_text, extra in (
+        ("run", "optimize pulses and export result/pulse/trajectory files", _RUN_ONLY),
+        ("robustness", "compare mu=1 and mu<1 solutions through Choi distances", ()),
+    ):
+        p = sub.add_parser(command, help=help_text)
+        _add_flags(p, common)
+        p.add_argument("--config", help="JSON file with defaults; explicit flags win")
+        _add_flags(p, extra)
     return parser
-
-
-_CONFIG_KEYS = (
-    "target",
-    "n_pulses",
-    "dt",
-    "mu",
-    "bound",
-    "surrogate",
-    "alpha",
-    "kT",
-    "gamma",
-    "seed",
-    "restarts",
-    "output_dir",
-    "initial_state",
-    "min_fidelity",
-)
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """Merge precedence: built-in defaults < --config file < explicit flags."""
+    keys = {f.name for f in fields(ExperimentConfig)}
     merged: dict = {}
     if args.config:
         path = Path(args.config)
@@ -185,59 +195,14 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"config file is not valid JSON: {e}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config file must contain a JSON object")
-        unknown = set(loaded) - set(_CONFIG_KEYS)
+        unknown = set(loaded) - keys
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged.update(loaded)
-
-    flag_map = {
-        "target": args.target,
-        "n_pulses": args.n_pulses,
-        "dt": args.dt,
-        "mu": args.mu,
-        "bound": args.bound,
-        "surrogate": args.surrogate,
-        "alpha": args.alpha,
-        "kT": args.kt,
-        "gamma": args.gamma,
-        "seed": args.seed,
-        "restarts": args.restarts,
-        "output_dir": args.output_dir,
-        "initial_state": getattr(args, "initial_state", None),
-        "min_fidelity": getattr(args, "min_fidelity", None),
-    }
-    merged.update({k: v for k, v in flag_map.items() if v is not None})
-
-    target = merged.get("target")
-    if target is None:
+    merged.update((k, v) for k, v in vars(args).items() if k in keys)
+    if "target" not in merged:
         raise ConfigError("a target must be given (--target or config file)")
-    if not isinstance(target, str) or target not in TARGETS:
-        raise ConfigError(f"unknown target {target!r}")
-    n_sites = TARGETS[target][1]
-
-    try:
-        cfg = ExperimentConfig(
-            target=target,
-            n_pulses=int(merged.get("n_pulses", _DEFAULT_PULSES[n_sites])),
-            dt=float(merged.get("dt", 0.2)),
-            mu=float(merged.get("mu", _DEFAULT_MU[n_sites])),
-            bound=float(merged.get("bound", 50.0)),
-            surrogate=str(merged.get("surrogate", "fermi_dirac")),
-            alpha=float(merged.get("alpha", 0.99)),
-            kT=float(merged.get("kT", 0.01)),
-            gamma=float(merged.get("gamma", 0.1)),
-            seed=int(merged.get("seed", 0)),
-            restarts=int(merged.get("restarts", 8)),
-            output_dir=str(merged.get("output_dir", ".")),
-            initial_state=str(merged.get("initial_state", _DEFAULT_STATE[n_sites])),
-            min_fidelity=(
-                float(merged["min_fidelity"]) if merged.get("min_fidelity") is not None else None
-            ),
-        )
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"config value of the wrong type: {e}") from None
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**merged)
 
 
 def _format_float(x: float) -> str:
@@ -304,7 +269,6 @@ def _write_trajectories_csv(
 
 def run_optimize(cfg: ExperimentConfig) -> int:
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     chain = cfg.chain()
 
     start = time.perf_counter()
@@ -347,7 +311,6 @@ def run_optimize(cfg: ExperimentConfig) -> int:
 
 def run_robustness(cfg: ExperimentConfig) -> int:
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     start = time.perf_counter()
     report = robustness_experiment(
@@ -388,14 +351,18 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
+        if args.command == "robustness" and cfg.mu >= 1.0:
+            raise ConfigError("robustness requires mu < 1 (the mu=1 leg is run internally)")
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    try:
+        Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        print(f"error: output directory {cfg.output_dir!r}: {e.strerror}", file=sys.stderr)
+        return 2
     if args.command == "run":
         return run_optimize(cfg)
-    if cfg.mu >= 1.0:
-        print("error: robustness requires mu < 1 (the mu=1 leg is run internally)", file=sys.stderr)
-        return 2
     return run_robustness(cfg)
 
 

@@ -134,16 +134,22 @@ def target_unitary(target: TargetGate) -> np.ndarray:
     return linalg.kron(left, _SWAP2)
 
 
-def drift_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """Isotropic nearest-neighbour Heisenberg coupling; zero matrix for a single site."""
-    h = np.zeros((spec.dim, spec.dim), dtype=np.complex128)
-    for i in range(1, spec.n_sites):
+def _exchange_sum(pairs, n_sites: int) -> np.ndarray:
+    """Sum over site pairs (i, j) of Sx^i Sx^j + Sy^i Sy^j + Sz^i Sz^j on n_sites qubits."""
+    h = np.zeros((2**n_sites, 2**n_sites), dtype=np.complex128)
+    for i, j in pairs:
         for axis in "xyz":
             op = linalg.pauli(axis)
-            h += linalg.embed_single_site(op, i, spec.n_sites) @ linalg.embed_single_site(
-                op, i + 1, spec.n_sites
+            h += linalg.embed_single_site(op, i, n_sites) @ linalg.embed_single_site(
+                op, j, n_sites
             )
-    return spec.coupling * h
+    return h
+
+
+def drift_hamiltonian(spec: ChainSpec) -> np.ndarray:
+    """Isotropic nearest-neighbour Heisenberg coupling; zero matrix for a single site."""
+    n = spec.n_sites
+    return spec.coupling * _exchange_sum([(i, i + 1) for i in range(1, n)], n)
 
 
 def env_coupling_operator(n_sites: int) -> np.ndarray:
@@ -152,14 +158,7 @@ def env_coupling_operator(n_sites: int) -> np.ndarray:
     Sum over i of Sx^i Sx^(N+1) + Sy^i Sy^(N+1) + Sz^i Sz^(N+1) on N+1 qubits.
     """
     total = n_sites + 1
-    c = np.zeros((2**total, 2**total), dtype=np.complex128)
-    for i in range(1, n_sites + 1):
-        for axis in "xyz":
-            op = linalg.pauli(axis)
-            c += linalg.embed_single_site(op, i, total) @ linalg.embed_single_site(
-                op, total, total
-            )
-    return c
+    return _exchange_sum([(i, total) for i in range(1, total)], total)
 
 
 @dataclass(frozen=True)

@@ -105,8 +105,6 @@ def bfgs_minimize(
     x0: np.ndarray,
     bound: float,
     cfg: OptimizerConfig,
-    *,
-    callback: Callable[[np.ndarray, float], None] | None = None,
 ) -> tuple[np.ndarray, BfgsInfo]:
     """Minimize inside the box |x_i| <= bound.
 
@@ -125,9 +123,6 @@ def bfgs_minimize(
     fresh_hessian = True
 
     trace = [f]
-    if callback is not None:
-        callback(x, f)
-
     converged = bool(np.max(np.abs(g)) <= cfg.grad_tol)
     ls_failed = False
     it = 0
@@ -178,8 +173,6 @@ def bfgs_minimize(
 
         x, f, g = x_new, f_new, g_new
         trace.append(f)
-        if callback is not None:
-            callback(x, f)
         converged = bool(np.max(np.abs(g)) <= cfg.grad_tol)
 
     return x, BfgsInfo(
@@ -192,12 +185,8 @@ def bfgs_minimize(
 
 @dataclass
 class OptimizationResult:
-    """Best-of-restarts pulse optimization outcome.
-
-    ``trace`` holds one row per accepted iterate of the winning restart:
-    (minimized objective, fidelity, true penalty). The top-level G always
-    recomputes as (1-mu)*penalty - mu*fidelity from the reported pair.
-    """
+    """Best-of-restarts pulse optimization outcome. G always recomputes as
+    (1-mu)*penalty - mu*fidelity from the reported pair."""
 
     best_seq: ControlSequence
     fidelity: float
@@ -206,7 +195,6 @@ class OptimizationResult:
     iterations_used: int
     restart_index: int
     seed: int
-    trace: np.ndarray
     converged: bool
     line_search_failed: bool
 
@@ -236,16 +224,7 @@ def optimize_controls(
     for r in range(opt_cfg.restarts):
         rng = np.random.default_rng(children[r])
         x0 = rng.uniform(-opt_cfg.init_amplitude, opt_cfg.init_amplitude, 2 * seq_template.n)
-
-        rows: list[tuple[float, float, float]] = []
-
-        def record(xa, fa, _rows=rows):
-            fid, pen = po.recorded_metrics(xa)
-            _rows.append((fa, fid, pen))
-
-        x, info = bfgs_minimize(
-            po.value_and_grad, x0, seq_template.bound, opt_cfg, callback=record
-        )
+        x, info = bfgs_minimize(po.value_and_grad, x0, seq_template.bound, opt_cfg)
         fid, pen = po.recorded_metrics(x)
         g_true = (1.0 - obj_cfg.mu) * pen - obj_cfg.mu * fid
         candidate = OptimizationResult(
@@ -256,7 +235,6 @@ def optimize_controls(
             iterations_used=info.iterations,
             restart_index=r,
             seed=opt_cfg.seed,
-            trace=np.asarray(rows, dtype=np.float64),
             converged=info.converged,
             line_search_failed=info.line_search_failed,
         )

@@ -86,6 +86,8 @@ class TestRunCommand:
             pytest.param({"gamma": "nan"}, None, id="gamma_nan"),
             pytest.param({"kt": "nan"}, None, id="kt_nan"),
             pytest.param({"min_fidelity": "nan"}, None, id="min_fidelity_nan"),
+            pytest.param({"min_fidelity": "5"}, None, id="min_fidelity_5"),
+            pytest.param({"min_fidelity": "-0.1"}, None, id="min_fidelity_-0.1"),
             pytest.param({"seed": "-1"}, None, id="seed_negative"),
             pytest.param(None, {"n_pulses": "abc"}, id="file_n_pulses_abc"),
             pytest.param(None, {"dt": None}, id="file_dt_null"),
@@ -102,6 +104,20 @@ class TestRunCommand:
             args = ["run", "--config", str(cfg_file), "--output-dir", str(out)]
         assert main(args) == 2
         assert not out.exists()
+
+    def test_null_output_dir_in_config_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"target": "not3", "n_pulses": 2, "output_dir": None}))
+        assert main(["run", "--config", str(cfg_file), "--restarts", "1"]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_output_dir_naming_a_file_exits_2(self, tmp_path):
+        target = tmp_path / "afile"
+        target.write_text("keep\n")
+        assert main(tiny_run_args(target, n_pulses="2")) == 2
+        assert target.read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
 
     def test_malformed_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

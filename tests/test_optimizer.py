@@ -167,16 +167,13 @@ class TestOptimizeControls:
         res = optimize_controls(spec, target, tmpl, cfg, OptimizerConfig(seed=2, restarts=2))
         assert abs(res.G - ((1 - 0.3) * res.penalty - 0.3 * res.fidelity)) < 1e-12
 
-    def test_feasible_and_traced(self):
+    def test_feasible_within_bound(self):
         spec = ChainSpec(n_sites=2)
         target = TargetGate("SWAP", 2)
         tmpl = ControlSequence.zeros(6, 0.2, 2.0)
         cfg = ObjectiveConfig(mu=0.6, surrogate="fermi_dirac")
         res = optimize_controls(spec, target, tmpl, cfg, OptimizerConfig(seed=3, restarts=3))
         assert np.max(np.abs(res.best_seq.pulse_vector())) <= 2.0
-        assert res.trace.shape[1] == 3
-        # objective column non-increasing (Wolfe decrease on the minimized functional)
-        assert np.all(np.diff(res.trace[:, 0]) <= 1e-15)
         assert 0 <= res.restart_index < 3
 
     def test_deterministic(self):
@@ -194,7 +191,6 @@ class TestOptimizeControls:
         assert a.G == b.G
         assert a.iterations_used == b.iterations_used
         assert a.restart_index == b.restart_index
-        assert np.array_equal(a.trace, b.trace)
 
     def test_init_amplitude_must_fit_box(self):
         spec = ChainSpec(n_sites=1)
