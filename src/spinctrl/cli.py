@@ -89,6 +89,11 @@ class ExperimentConfig:
                 if not isinstance(value, str):
                     raise ConfigError(f"{f.name} must be a string, not {value!r}")
             else:
+                # int() and float() would quietly turn 6.9 into 6 and true into 1.
+                if isinstance(value, bool) or (
+                    kind is int and isinstance(value, float) and not value.is_integer()
+                ):
+                    raise ConfigError(f"{f.name} must be {kind.__name__}, not {value!r}")
                 try:
                     value = kind(value)
                 except (TypeError, ValueError, OverflowError) as e:

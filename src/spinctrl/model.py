@@ -1,10 +1,18 @@
 """Heisenberg spin-chain model and its slice kernel.
 
-One kernel builds the piecewise-constant slice Hamiltonians, on the bare chain
-or on chain + environment qubit (``slice_operators``, ``slice_hamiltonians``),
-diagonalizes them (``eigh_stack``) and exponentiates them
-(``propagators_from_eigh``). Propagation, Bloch trajectories and the pulse
-objective's gradient all run through it.
+One kernel returns the eigensystem of every piecewise-constant slice
+Hamiltonian, on the bare chain or on chain + environment qubit
+(``slice_operators``, ``slice_eigensystem``); ``propagators_from_eigh``
+exponentiates it. Propagation, Bloch trajectories and the pulse objective's
+gradient all run through it.
+
+The kernel works in the chain's symmetry sectors. The isotropic drift and
+star coupling commute with rotations about z, so a slice with field (hx, hy)
+is H = D (H0 + r*Sx^1 [+ s*star]) D^dag with r = |h|, phi = atan2(hy, hx)
+and the diagonal D = exp(-i*phi*Sz_total/2). The inner matrix is real and
+commutes with the global spin flip, so it splits into two real blocks of half
+the dimension, the only matrices that are diagonalized (``eigh_stack``). No
+dense slice Hamiltonian is built.
 
 Conventions: spin operators are the bare Pauli matrices; control-field
 amplitudes are in units of the chain coupling and times in its inverse.
@@ -161,57 +169,102 @@ def env_coupling_operator(n_sites: int) -> np.ndarray:
     return _exchange_sum([(i, total) for i in range(1, total)], total)
 
 
+def _sector_basis(dim: int) -> np.ndarray:
+    """Real orthonormal bases of the two eigenspaces of the global spin flip.
+
+    Shape (2, dim, dim/2): sector 0 holds (|b> + |b~>)/sqrt(2) and sector 1
+    holds (|b> - |b~>)/sqrt(2), for the basis states b whose first qubit is 0
+    and their complements b~ = dim - 1 - b.
+    """
+    half = dim // 2
+    b = np.arange(half)
+    basis = np.zeros((2, dim, half))
+    basis[:, b, b] = math.sqrt(0.5)
+    basis[0, dim - 1 - b, b] = math.sqrt(0.5)
+    basis[1, dim - 1 - b, b] = -math.sqrt(0.5)
+    return basis
+
+
+def _sector_blocks(basis: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """The two diagonal blocks of a real, flip-invariant operator in the
+    sector basis, shape (2, dim/2, dim/2), symmetrized."""
+    blocks = basis.swapaxes(-1, -2) @ op.real @ basis
+    return (blocks + blocks.swapaxes(-1, -2)) / 2.0
+
+
 @dataclass(frozen=True)
 class SliceOperators:
     """The fixed operators of a chain's slice Hamiltonians.
 
-    ``star`` is the environment coupling on chain + environment qubit and is
-    None on the bare chain, where every operator acts on the chain alone.
+    ``basis`` (see ``_sector_basis``) splits the space into the two sectors of
+    the global spin flip, and ``drift``, ``field`` (Sx on site 1) and ``star``
+    (the environment coupling) are their real sector blocks, shape
+    (2, dim/2, dim/2). ``star`` is None on the bare chain, where every
+    operator acts on the chain alone. ``m`` is the total Sz of each
+    computational basis state.
     """
 
+    basis: np.ndarray
+    m: np.ndarray
     drift: np.ndarray
-    sx1: np.ndarray
-    sy1: np.ndarray
+    field: np.ndarray
     star: np.ndarray | None
     gamma: float
 
 
 def slice_operators(spec: ChainSpec) -> SliceOperators:
-    """Operators of ``slice_hamiltonians`` for ``spec``; the environment qubit
+    """Operators of ``slice_eigensystem`` for ``spec``; the environment qubit
     is appended last when ``spec.env_enabled`` is set."""
     drift = drift_hamiltonian(spec)
     sx1 = linalg.embed_single_site(linalg.pauli("x"), 1, spec.n_sites)
-    sy1 = linalg.embed_single_site(linalg.pauli("y"), 1, spec.n_sites)
-    if not spec.env_enabled:
-        return SliceOperators(drift, sx1, sy1, None, spec.gamma)
-    eye2 = np.eye(2, dtype=np.complex128)
+    star = None
+    if spec.env_enabled:
+        eye2 = np.eye(2, dtype=np.complex128)
+        drift, sx1 = linalg.kron(drift, eye2), linalg.kron(sx1, eye2)
+        star = env_coupling_operator(spec.n_sites)
+    dim = drift.shape[0]
+    n_qubits = dim.bit_length() - 1
+    bits = (np.arange(dim)[:, None] >> np.arange(n_qubits)) & 1
+    basis = _sector_basis(dim)
     return SliceOperators(
-        linalg.kron(drift, eye2),
-        linalg.kron(sx1, eye2),
-        linalg.kron(sy1, eye2),
-        env_coupling_operator(spec.n_sites),
-        spec.gamma,
+        basis=basis,
+        m=(n_qubits - 2 * bits.sum(axis=1)).astype(np.float64),
+        drift=_sector_blocks(basis, drift),
+        field=_sector_blocks(basis, sx1),
+        star=None if star is None else _sector_blocks(basis, star),
+        gamma=spec.gamma,
     )
-
-
-def slice_hamiltonians(ops: SliceOperators, hx: np.ndarray, hy: np.ndarray) -> np.ndarray:
-    """Stack of per-slice Hamiltonians, shape (n, dim, dim).
-
-    H_j = drift + hx_j*Sx^1 + hy_j*Sy^1; with the environment qubit, every
-    site also couples to it with strength gamma * (|hx_j| + |hy_j|).
-    """
-    h = ops.drift + hx[:, None, None] * ops.sx1 + hy[:, None, None] * ops.sy1
-    if ops.star is not None:
-        strength = ops.gamma * (np.abs(hx) + np.abs(hy))
-        # In place: one (n, dim, dim) temporary fewer at the peak.
-        h += strength[:, None, None] * ops.star
-    return h
 
 
 def eigh_stack(h_stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched Hermitian eigendecomposition of a stack of matrices."""
     sym = (h_stack + h_stack.conj().swapaxes(-1, -2)) / 2.0
     return np.linalg.eigh(sym)
+
+
+def slice_eigensystem(
+    ops: SliceOperators, hx: np.ndarray, hy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (n, dim) and eigenvectors (n, dim, dim) of every slice
+    Hamiltonian H_j = drift + hx_j*Sx^1 + hy_j*Sy^1 [+ s_j*star], where
+    s_j = gamma*(|hx_j| + |hy_j|) couples the environment qubit.
+
+    With r = |h_j|, phi = atan2(hy_j, hx_j) and D = diag(exp(-i*phi*m/2)),
+    H_j = D (drift + r*Sx^1 [+ s_j*star]) D^dag. The inner matrix is real and
+    commutes with the global spin flip, so it is diagonalized as two real
+    blocks per slice. At r = 0 it commutes with D and phi is taken as 0.
+    """
+    n, dim = hx.size, ops.m.size
+    r = np.hypot(hx, hy)
+    phi = np.where(r > 0.0, np.arctan2(hy, hx), 0.0)
+    blocks = ops.drift + r[:, None, None, None] * ops.field
+    if ops.star is not None:
+        blocks += (ops.gamma * (np.abs(hx) + np.abs(hy)))[:, None, None, None] * ops.star
+    evals, w = eigh_stack(blocks)
+    # Columns of sector 0, then of sector 1, in the computational basis.
+    q = (ops.basis @ w).swapaxes(1, 2).reshape(n, dim, dim)
+    phase = np.exp(-0.5j * phi[:, None] * ops.m)
+    return evals.reshape(n, dim), phase[:, :, None] * q
 
 
 def propagators_from_eigh(evals: np.ndarray, evecs: np.ndarray, dt: float) -> np.ndarray:
@@ -231,7 +284,7 @@ def _ordered_product(props: np.ndarray) -> np.ndarray:
 def propagate(spec: ChainSpec, seq: ControlSequence) -> np.ndarray:
     """Total unitary generated by the control sequence, on chain + environment
     qubit when ``spec.env_enabled`` is set and on the bare chain otherwise."""
-    evals, evecs = eigh_stack(slice_hamiltonians(slice_operators(spec), seq.hx, seq.hy))
+    evals, evecs = slice_eigensystem(slice_operators(spec), seq.hx, seq.hy)
     return _ordered_product(propagators_from_eigh(evals, evecs, seq.dt))
 
 
@@ -274,7 +327,7 @@ def bloch_trajectories(
         raise ValueError("Bloch trajectories are defined on the bare chain only")
     psi = np.zeros(spec.dim, dtype=np.complex128)
     psi[int(label, 2)] = 1.0
-    evals, evecs = eigh_stack(slice_hamiltonians(slice_operators(spec), seq.hx, seq.hy))
+    evals, evecs = slice_eigensystem(slice_operators(spec), seq.hx, seq.hy)
     props = propagators_from_eigh(evals, evecs, seq.dt)
     out = np.empty((seq.n + 1, spec.n_sites, 3))
     out[0] = _qubit_bloch_vectors(psi, spec.n_sites)

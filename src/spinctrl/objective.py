@@ -16,14 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .model import (
     ChainSpec,
     ControlSequence,
     TargetGate,
-    eigh_stack,
     propagate,
-    propagators_from_eigh,
-    slice_hamiltonians,
+    slice_eigensystem,
     slice_operators,
     target_unitary,
 )
@@ -116,8 +115,8 @@ class PulseObjective:
 
     The fidelity gradient is exact: each slice propagator is differentiated
     through its eigendecomposition with the divided-difference kernel of
-    t -> exp(-i*dt*t), and the chain rule is assembled from cumulative
-    products of the slice propagators from both ends.
+    t -> exp(-i*dt*t), and the chain rule is assembled from the cumulative
+    products of the slice propagators and the total propagator.
     """
 
     def __init__(
@@ -143,6 +142,11 @@ class PulseObjective:
         self._ops = slice_operators(spec)
         self._ut_dag = target_unitary(target).conj().T
         self._eye = np.eye(self.dim, dtype=np.complex128)
+        # Columns: Sx^1 and Sy^1, transposed and flattened (see value_and_grad).
+        self._controls_t = np.stack(
+            [linalg.embed_single_site(linalg.pauli(a), 1, spec.n_sites).T.ravel() for a in "xy"],
+            axis=1,
+        )
         self._last_key: bytes | None = None
         self._last_metrics: tuple[float, float] = (0.0, 0.0)
 
@@ -166,38 +170,38 @@ class PulseObjective:
         x = np.asarray(x, dtype=np.float64)
         hx, hy = x[:n], x[n:]
 
-        evals, evecs = eigh_stack(slice_hamiltonians(self._ops, hx, hy))
-        props = propagators_from_eigh(evals, evecs, dt)
-        vdag = evecs.conj().swapaxes(-1, -2)
+        evals, evecs = slice_eigensystem(self._ops, hx, hy)
+        # One phase h = e^(-i*dt*λ/2) per eigenvalue: the propagators use h²,
+        # the gradient kernel h_a*conj(h_b).
+        half = np.exp(-0.5j * dt * evals)
+        props = (evecs * (half * half)[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
 
+        # fwd[j]: the product of the first j slice propagators.
         fwd = np.empty((n + 1, dim, dim), dtype=np.complex128)
         fwd[0] = self._eye
         for j in range(n):
-            fwd[j + 1] = props[j] @ fwd[j]
-        bwd = np.empty_like(fwd)
-        bwd[n] = self._eye
-        for j in range(n - 1, -1, -1):
-            bwd[j] = bwd[j + 1] @ props[j]
-
-        z = np.trace(self._ut_dag @ fwd[n])
+            np.matmul(props[j], fwd[j], out=fwd[j + 1])
+        overlap = self._ut_dag @ fwd[n]
+        z = np.trace(overlap)
         fid = abs(z) / dim
 
-        # Divided differences of e^(-i*dt*λ): exact at coincident eigenvalues.
+        # U = B_j U_j F_j with F_j = fwd[j] and B_j = U F_j^† U_j^†, so with
+        # the eigenbasis V_j of slice j, dTr(U_T^† U) along a control σ on it
+        # is Tr(σ dm_j), dm_j = V_j (S_j ∘ K_j) V_j^†, where C_j = F_j^† V_j,
+        # S_j = C_j^† (U_T^† U) C_j and K_ab = -i*dt*h_a*conj(h_b)*
+        # sinc(dt*(λ_a-λ_b)/2π): the divided difference of e^(-i*dt*λ) at
+        # (λ_a, λ_b) times conj(h_b²), exact at coincident eigenvalues.
+        c = fwd[:n].conj().swapaxes(-1, -2) @ evecs
+        s = c.conj().swapaxes(-1, -2) @ (overlap @ c)
         lam_diff = evals[:, :, None] - evals[:, None, :]
-        lam_sum = evals[:, :, None] + evals[:, None, :]
         kernel = (
-            (-1j * dt)
-            * np.exp(-0.5j * dt * lam_sum)
+            (-1j * dt * half)[:, :, None]
+            * half.conj()[:, None, :]
             * np.sinc(0.5 * dt * lam_diff / np.pi)
         )
-
-        g_stack = (fwd[:n] @ self._ut_dag) @ bwd[1:]
-        a_stack = vdag @ g_stack @ evecs
-        ex = vdag @ self._ops.sx1 @ evecs
-        ey = vdag @ self._ops.sy1 @ evecs
-        a_t = a_stack.swapaxes(-1, -2)
-        tx = np.sum(a_t * (kernel * ex), axis=(1, 2))
-        ty = np.sum(a_t * (kernel * ey), axis=(1, 2))
+        dm = evecs @ (s * kernel) @ evecs.conj().swapaxes(-1, -2)
+        # Tr(σ dm) = Σ_kl dm_lk σ_kl, for σ = Sx^1 and Sy^1 in one product.
+        tx, ty = (dm.reshape(n, -1) @ self._controls_t).T
 
         if abs(z) < cfg.grad_phase_epsilon:
             dfid_x = np.zeros(n)

@@ -92,6 +92,10 @@ class TestRunCommand:
             pytest.param(None, {"n_pulses": "abc"}, id="file_n_pulses_abc"),
             pytest.param(None, {"dt": None}, id="file_dt_null"),
             pytest.param(None, {"target": ["not3"]}, id="file_target_list"),
+            pytest.param(None, {"n_pulses": 6.9, "restarts": 1}, id="file_n_pulses_6.9"),
+            pytest.param(None, {"seed": 2.5, "n_pulses": 2, "restarts": 1}, id="file_seed_2.5"),
+            pytest.param(None, {"restarts": True, "n_pulses": 2}, id="file_restarts_true"),
+            pytest.param(None, {"dt": True, "n_pulses": 2, "restarts": 1}, id="file_dt_true"),
         ],
     )
     def test_invalid_config_exits_2_without_files(self, tmp_path, flags, config):

@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import I2, SX, SY, SZ, dense_slice_hamiltonians, kron_chain
 from spinctrl import linalg
 from spinctrl.model import (
     ChainSpec,
@@ -13,20 +14,10 @@ from spinctrl.model import (
     drift_hamiltonian,
     propagate,
     propagate_with_env,
-    slice_hamiltonians,
+    slice_eigensystem,
     slice_operators,
     target_unitary,
 )
-
-SX, SY, SZ = (linalg.pauli(a) for a in "xyz")
-I2 = np.eye(2, dtype=complex)
-
-
-def kron_chain(*ops):
-    out = ops[0]
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
 
 
 def random_seq(rng, n, dt=0.2, bound=10.0, scale=1.0):
@@ -35,15 +26,29 @@ def random_seq(rng, n, dt=0.2, bound=10.0, scale=1.0):
     )
 
 
+def kernel_hamiltonians(spec, hx, hy):
+    """The slice Hamiltonians V diag(λ) V^† rebuilt from the kernel's eigensystems."""
+    evals, evecs = slice_eigensystem(slice_operators(spec), np.asarray(hx), np.asarray(hy))
+    return (evecs * evals[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
+
+
 def one_slice(spec, hx, hy):
     """The kernel's Hamiltonian of a single slice with fields (hx, hy)."""
-    return slice_hamiltonians(slice_operators(spec), np.array([hx]), np.array([hy]))[0]
+    return kernel_hamiltonians(spec, [hx], [hy])[0]
 
 
 def control_part(hx, hy, n_sites):
     """The kernel's slice Hamiltonian minus the drift: the field on site 1."""
     spec = ChainSpec(n_sites=n_sites)
     return one_slice(spec, hx, hy) - drift_hamiltonian(spec)
+
+
+def oracle_control_part(hx, hy, n_sites):
+    """The dense oracle's slice Hamiltonian minus its drift."""
+    spec = ChainSpec(n_sites=n_sites)
+    return (
+        dense_slice_hamiltonians(spec, [hx], [hy])[0] - dense_slice_hamiltonians(spec, [0.0], [0.0])[0]
+    )
 
 
 def env_oracle_n2(gamma, hx, hy):
@@ -69,6 +74,8 @@ def z_rotation(phi, n_qubits):
 pulse_lists = st.lists(
     st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=1, max_size=6
 )
+# Slices with r = 0 (of both zero signs), hx = 0, hy = 0 and negative amplitudes.
+EDGE_SLICES = [(0.0, 0.0), (-0.0, -0.0), (0.0, -1.3), (2.1, 0.0), (-0.7, -2.4)]
 
 
 class TestSpecs:
@@ -128,12 +135,43 @@ class TestDriftHamiltonian:
         assert np.allclose(h2, 2.5 * h1)
 
 
+class TestSliceEigensystem:
+    """The kernel's sector eigensystems against the dense explicit-Kronecker oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.sampled_from([False, True]),
+        st.sampled_from([0.0, 0.3]),
+        st.sampled_from([1.0, 2.5]),
+        pulse_lists,
+    )
+    def test_rebuilds_dense_oracle(self, n_sites, env, gamma, coupling, pulses):
+        hx, hy = np.array(EDGE_SLICES + pulses).T
+        spec = ChainSpec(n_sites=n_sites, coupling=coupling, env_enabled=env, gamma=gamma)
+        evals, evecs = slice_eigensystem(slice_operators(spec), hx, hy)
+        rebuilt = (evecs * evals[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
+        assert np.max(np.abs(rebuilt - dense_slice_hamiltonians(spec, hx, hy))) < 1e-12
+        gram = evecs.conj().swapaxes(-1, -2) @ evecs
+        assert np.max(np.abs(gram - np.eye(spec.dim * (1 + env)))) < 1e-12
+
+    @pytest.mark.parametrize("env", [False, True])
+    def test_real_blocks_of_half_size(self, env):
+        ops = slice_operators(ChainSpec(n_sites=3, env_enabled=env))
+        half = 4 * (1 + env)
+        for blocks in (ops.drift, ops.field) + ((ops.star,) if env else ()):
+            assert blocks.dtype == np.float64 and blocks.shape == (2, half, half)
+            assert np.array_equal(blocks, blocks.swapaxes(-1, -2))
+
+
 class TestControlHamiltonian:
     def test_zero_fields(self):
-        assert np.array_equal(control_part(0.0, 0.0, 2), np.zeros((4, 4)))
+        assert np.array_equal(oracle_control_part(0.0, 0.0, 2), np.zeros((4, 4)))
+        assert np.allclose(control_part(0.0, 0.0, 2), 0.0, atol=1e-14)
 
     def test_single_qubit(self):
-        assert np.array_equal(control_part(1.0, 0.0, 1), SX)
+        assert np.array_equal(oracle_control_part(1.0, 0.0, 1), SX)
+        assert np.allclose(control_part(1.0, 0.0, 1), SX, atol=1e-14)
 
     def test_anticommutes_with_sz_on_first_site(self):
         hc = control_part(0.7, -1.3, 3)
@@ -146,7 +184,8 @@ class TestEnvHamiltonian:
         # the environment qubit and its coupling appear only when enabled
         ops = slice_operators(ChainSpec(n_sites=2, gamma=0.3))
         assert ops.star is None
-        assert slice_hamiltonians(ops, np.array([1.0]), np.array([0.0])).shape == (1, 4, 4)
+        evals, evecs = slice_eigensystem(ops, np.array([1.0]), np.array([0.0]))
+        assert evals.shape == (1, 4) and evecs.shape == (1, 4, 4)
 
     def test_zero_pulses_decouple(self):
         spec = ChainSpec(n_sites=2, env_enabled=True, gamma=0.3)
@@ -202,7 +241,7 @@ class TestPropagate:
         seq = random_seq(rng, 6)
         u = propagate(spec, seq)
         u_rev = np.eye(4, dtype=complex)
-        for h in slice_hamiltonians(slice_operators(spec), seq.hx, seq.hy)[::-1]:
+        for h in dense_slice_hamiltonians(spec, seq.hx, seq.hy)[::-1]:
             u_rev = scipy.linalg.expm(1j * seq.dt * h) @ u_rev
         assert np.max(np.abs(u_rev @ u - np.eye(4))) < 1e-8
 
@@ -264,7 +303,7 @@ class TestBlochTrajectories:
         # independently evolve the state and check reduced-state eigenvalues
         psi = np.zeros(8, dtype=complex)
         psi[int("010", 2)] = 1.0
-        for h in slice_hamiltonians(slice_operators(spec), seq.hx, seq.hy):
+        for h in dense_slice_hamiltonians(spec, seq.hx, seq.hy):
             psi = scipy.linalg.expm(-1j * seq.dt * h) @ psi
             assert np.isclose(np.linalg.norm(psi), 1.0, atol=1e-10)
         rho_full = np.outer(psi, psi.conj()).reshape(2, 4, 2, 4)

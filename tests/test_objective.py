@@ -6,9 +6,11 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import dense_value_and_grad
 from spinctrl import linalg
 from spinctrl.model import ChainSpec, ControlSequence, TargetGate, propagate, target_unitary
 from spinctrl.objective import (
+    SURROGATES,
     ObjectiveConfig,
     PulseObjective,
     fidelity,
@@ -207,7 +209,30 @@ def central_difference(po, x, step=1e-6):
     return fd
 
 
+@st.composite
+def objective_cases(draw):
+    """A chain, a target on it and a pulse vector, edge amplitudes included."""
+    n_sites = draw(st.integers(1, 4))
+    kind = "NOT" if n_sites == 1 else draw(st.sampled_from(["NOT", "SWAP"]))
+    spec = ChainSpec(n_sites=n_sites, coupling=draw(st.sampled_from([1.0, 2.5])))
+    amplitude = st.one_of(st.sampled_from([0.0, -0.0, 1.5, -2.0]), st.floats(-3.0, 3.0))
+    n = draw(st.integers(1, 6))
+    x = np.array(draw(st.lists(amplitude, min_size=2 * n, max_size=2 * n)))
+    return spec, TargetGate(kind, n_sites), x
+
+
 class TestGradient:
+    @settings(max_examples=40, deadline=None)
+    @given(objective_cases(), st.sampled_from(SURROGATES))
+    def test_matches_dense_reference(self, case, surrogate):
+        spec, target, x = case
+        cfg = ObjectiveConfig(mu=0.4, surrogate=surrogate)
+        po = PulseObjective(spec, target, x.size // 2, 0.2, 10.0, cfg)
+        value, grad = po.value_and_grad(x)
+        ref_value, ref_grad = dense_value_and_grad(spec, target, 0.2, 10.0, cfg, x)
+        assert abs(value - ref_value) < 1e-12
+        assert np.max(np.abs(grad - ref_grad)) < 1e-12
+
     def test_mu_zero_is_pure_penalty_gradient(self):
         rng = np.random.default_rng(21)
         spec = ChainSpec(n_sites=2)
