@@ -2,9 +2,11 @@
 
 One kernel returns the eigensystem of every piecewise-constant slice
 Hamiltonian, on the bare chain or on chain + environment qubit
-(``slice_operators``, ``slice_eigensystem``); ``propagators_from_eigh``
-exponentiates it. Propagation, Bloch trajectories and the pulse objective's
-gradient all run through it.
+(``slice_operators``, ``slice_eigensystem``), and ``forward_products`` turns
+it into the cumulative propagators U_j ... U_1, the only place where slice
+propagators are formed or multiplied. ``propagate`` returns the last of them,
+``bloch_trajectories`` reads the state at every slice boundary from them, and
+the pulse objective's gradient is assembled from them.
 
 The kernel works in the chain's symmetry sectors. The isotropic drift and
 star coupling commute with rotations about z, so a slice with field (hx, hy)
@@ -22,7 +24,9 @@ U_n ... U_2 U_1.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +49,8 @@ class ChainSpec:
     gamma: float = 0.1
 
     def __post_init__(self):
+        if isinstance(self.n_sites, bool) or not isinstance(self.n_sites, numbers.Integral):
+            raise ValueError(f"n_sites must be an integer, not {self.n_sites!r}")
         if self.n_sites < 1:
             raise ValueError("chain needs at least one site")
         if not (math.isfinite(self.coupling) and self.coupling > 0):
@@ -212,9 +218,13 @@ class SliceOperators:
     gamma: float
 
 
+@functools.lru_cache
 def slice_operators(spec: ChainSpec) -> SliceOperators:
     """Operators of ``slice_eigensystem`` for ``spec``; the environment qubit
-    is appended last when ``spec.env_enabled`` is set."""
+    is appended last when ``spec.env_enabled`` is set.
+
+    Built once per spec and shared by every caller, so the arrays are
+    read-only."""
     drift = drift_hamiltonian(spec)
     sx1 = linalg.embed_single_site(linalg.pauli("x"), 1, spec.n_sites)
     star = None
@@ -226,7 +236,7 @@ def slice_operators(spec: ChainSpec) -> SliceOperators:
     n_qubits = dim.bit_length() - 1
     bits = (np.arange(dim)[:, None] >> np.arange(n_qubits)) & 1
     basis = _sector_basis(dim)
-    return SliceOperators(
+    ops = SliceOperators(
         basis=basis,
         m=(n_qubits - 2 * bits.sum(axis=1)).astype(np.float64),
         drift=_sector_blocks(basis, drift),
@@ -234,6 +244,10 @@ def slice_operators(spec: ChainSpec) -> SliceOperators:
         star=None if star is None else _sector_blocks(basis, star),
         gamma=spec.gamma,
     )
+    for a in (ops.basis, ops.m, ops.drift, ops.field, ops.star):
+        if a is not None:
+            a.setflags(write=False)
+    return ops
 
 
 def eigh_stack(h_stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,25 +281,28 @@ def slice_eigensystem(
     return evals.reshape(n, dim), phase[:, :, None] * q
 
 
-def propagators_from_eigh(evals: np.ndarray, evecs: np.ndarray, dt: float) -> np.ndarray:
-    """Slice propagators exp(-i*dt*H_j) from a batched eigendecomposition."""
-    phases = np.exp(-1j * dt * evals)
-    return (evecs * phases[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
-
-
-def _ordered_product(props: np.ndarray) -> np.ndarray:
-    """Time-ordered product: the first slice in the stack acts first."""
-    u = np.eye(props.shape[-1], dtype=np.complex128)
-    for p in props:
-        u = p @ u
-    return u
+def forward_products(evals: np.ndarray, evecs: np.ndarray, dt: float) -> np.ndarray:
+    """Cumulative propagators of a slice eigensystem, shape (n + 1, dim, dim):
+    entry 0 is the identity and entry j is U_j ... U_2 U_1, where
+    U_j = V_j diag(h_j**2) V_j^dag with h_j = exp(-i*dt*evals_j/2)."""
+    half = np.exp(-0.5j * dt * evals)
+    props = (evecs * (half * half)[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
+    n, dim = evals.shape
+    # Allocated after the temporaries of props are freed, so that no more
+    # than four (n, dim, dim) stacks are held at once.
+    fwd = np.empty((n + 1, dim, dim), dtype=np.complex128)
+    fwd[0] = np.eye(dim)
+    for j in range(n):
+        np.matmul(props[j], fwd[j], out=fwd[j + 1])
+    return fwd
 
 
 def propagate(spec: ChainSpec, seq: ControlSequence) -> np.ndarray:
     """Total unitary generated by the control sequence, on chain + environment
     qubit when ``spec.env_enabled`` is set and on the bare chain otherwise."""
     evals, evecs = slice_eigensystem(slice_operators(spec), seq.hx, seq.hy)
-    return _ordered_product(propagators_from_eigh(evals, evecs, seq.dt))
+    # A copy, so that the caller does not keep the whole stack alive.
+    return forward_products(evals, evecs, seq.dt)[-1].copy()
 
 
 def propagate_with_env(spec: ChainSpec, seq: ControlSequence) -> np.ndarray:
@@ -293,19 +310,6 @@ def propagate_with_env(spec: ChainSpec, seq: ControlSequence) -> np.ndarray:
     if not spec.env_enabled:
         raise ValueError("environment qubit is not enabled in this ChainSpec")
     return propagate(spec, seq)
-
-
-def _qubit_bloch_vectors(psi: np.ndarray, n_sites: int) -> np.ndarray:
-    """Bloch vector of each qubit's reduced state, shape (n_sites, 3)."""
-    paulis = [linalg.pauli(a) for a in "xyz"]
-    tensor = psi.reshape((2,) * n_sites)
-    out = np.empty((n_sites, 3))
-    for i in range(n_sites):
-        v = np.moveaxis(tensor, i, 0).reshape(2, -1)
-        rho = v @ v.conj().T
-        for k, s in enumerate(paulis):
-            out[i, k] = np.real(np.trace(rho @ s))
-    return out
 
 
 def bloch_trajectories(
@@ -325,13 +329,19 @@ def bloch_trajectories(
         )
     if spec.env_enabled:
         raise ValueError("Bloch trajectories are defined on the bare chain only")
-    psi = np.zeros(spec.dim, dtype=np.complex128)
-    psi[int(label, 2)] = 1.0
     evals, evecs = slice_eigensystem(slice_operators(spec), seq.hx, seq.hy)
-    props = propagators_from_eigh(evals, evecs, seq.dt)
+    # psi[j]: the state after the first j slices.
+    psi = forward_products(evals, evecs, seq.dt)[:, :, int(label, 2)]
+    # Qubit q (1-based) is bit n_sites - q of basis index k: sign[k, q] is
+    # its sz eigenvalue and flip[k, q] the index with that bit toggled, so
+    # sx|k> = |flip>, sy|k> = i*sign|flip> and, with pair = conj(psi_k)*psi_flip,
+    # <sx> = sum_k pair, <sy> = Im sum_k sign*pair and <sz> = sum_k sign*|psi_k|^2.
+    shifts = np.arange(spec.n_sites - 1, -1, -1)
+    sign = 1 - 2 * ((np.arange(spec.dim)[:, None] >> shifts) & 1)
+    flip = np.arange(spec.dim)[:, None] ^ (1 << shifts)
+    pair = psi.conj()[:, :, None] * psi[:, flip]
     out = np.empty((seq.n + 1, spec.n_sites, 3))
-    out[0] = _qubit_bloch_vectors(psi, spec.n_sites)
-    for j, p in enumerate(props):
-        psi = p @ psi
-        out[j + 1] = _qubit_bloch_vectors(psi, spec.n_sites)
+    out[..., 0] = pair.sum(axis=1).real
+    out[..., 1] = (sign * pair).sum(axis=1).imag
+    out[..., 2] = (np.abs(psi) ** 2) @ sign
     return out

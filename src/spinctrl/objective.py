@@ -21,7 +21,7 @@ from .model import (
     ChainSpec,
     ControlSequence,
     TargetGate,
-    propagate,
+    forward_products,
     slice_eigensystem,
     slice_operators,
     target_unitary,
@@ -69,8 +69,7 @@ def fidelity(u_target: np.ndarray, u: np.ndarray) -> float:
 
 def penalty(seq: ControlSequence) -> float:
     """Normalized total pulse magnitude; equals 1 when every pulse sits at ±bound."""
-    total = np.sum(np.abs(seq.hx)) + np.sum(np.abs(seq.hy))
-    return float(total / (2.0 * seq.n * seq.bound))
+    return float(np.sum(np.abs(seq.pulse_vector())) / (2.0 * seq.n * seq.bound))
 
 
 def surrogate_abs_derivative(x, cfg: ObjectiveConfig):
@@ -133,54 +132,31 @@ class PulseObjective:
         if target.n_sites != spec.n_sites:
             raise ValueError("target and chain have different site counts")
         self.spec = spec
-        self.target = target
         self.n = int(n)
         self.dt = float(dt)
         self.bound = float(bound)
         self.cfg = cfg
         self.dim = spec.dim
-        self._ops = slice_operators(spec)
         self._ut_dag = target_unitary(target).conj().T
-        self._eye = np.eye(self.dim, dtype=np.complex128)
         # Columns: Sx^1 and Sy^1, transposed and flattened (see value_and_grad).
         self._controls_t = np.stack(
             [linalg.embed_single_site(linalg.pauli(a), 1, spec.n_sites).T.ravel() for a in "xy"],
             axis=1,
         )
-        self._last_key: bytes | None = None
-        self._last_metrics: tuple[float, float] = (0.0, 0.0)
 
     def sequence(self, x: np.ndarray) -> ControlSequence:
         return ControlSequence.from_vector(x, self.dt, self.bound)
-
-    def _stash(self, x: np.ndarray, fid: float, pen: float) -> None:
-        self._last_key = x.tobytes()
-        self._last_metrics = (fid, pen)
-
-    def recorded_metrics(self, x: np.ndarray) -> tuple[float, float]:
-        """(fidelity, true penalty) at ``x``, reusing the last evaluation if possible."""
-        if self._last_key == x.tobytes():
-            return self._last_metrics
-        seq = self.sequence(x)
-        fid = fidelity(target_unitary(self.target), propagate(self.spec, seq))
-        return fid, penalty(seq)
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         n, dt, dim, cfg = self.n, self.dt, self.dim, self.cfg
         x = np.asarray(x, dtype=np.float64)
         hx, hy = x[:n], x[n:]
 
-        evals, evecs = slice_eigensystem(self._ops, hx, hy)
-        # One phase h = e^(-i*dt*λ/2) per eigenvalue: the propagators use h²,
-        # the gradient kernel h_a*conj(h_b).
+        evals, evecs = slice_eigensystem(slice_operators(self.spec), hx, hy)
+        # fwd[j]: the product of the first j slice propagators, whose phases
+        # are h² with h = e^(-i*dt*λ/2); the gradient kernel uses h_a*conj(h_b).
+        fwd = forward_products(evals, evecs, dt)
         half = np.exp(-0.5j * dt * evals)
-        props = (evecs * (half * half)[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
-
-        # fwd[j]: the product of the first j slice propagators.
-        fwd = np.empty((n + 1, dim, dim), dtype=np.complex128)
-        fwd[0] = self._eye
-        for j in range(n):
-            np.matmul(props[j], fwd[j], out=fwd[j + 1])
         overlap = self._ut_dag @ fwd[n]
         z = np.trace(overlap)
         fid = abs(z) / dim
@@ -220,7 +196,4 @@ class PulseObjective:
         )
         smoothed_pen = float(np.sum(surrogate_abs(x, cfg)) / (2.0 * n * self.bound))
         value = (1.0 - cfg.mu) * smoothed_pen - cfg.mu * fid
-
-        true_pen = float(np.sum(np.abs(x)) / (2.0 * n * self.bound))
-        self._stash(x, float(fid), true_pen)
         return value, grad

@@ -3,13 +3,15 @@ for pulse optimization."""
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .model import ChainSpec, ControlSequence, TargetGate
-from .objective import ObjectiveConfig, PulseObjective
+from .model import ChainSpec, ControlSequence, TargetGate, propagate, target_unitary
+from .objective import ObjectiveConfig, PulseObjective, fidelity, penalty
 
 _CURVATURE_EPS = 1e-12
 _MAX_LINE_SEARCH_TRIALS = 50
@@ -26,14 +28,20 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_iters", "restarts", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise ValueError("grad_tol must be positive and finite")
         if not 0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0:
             raise ValueError("Wolfe constants must satisfy 0 < c1 < c2 < 1")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if self.init_amplitude < 0:
-            raise ValueError("init_amplitude must be non-negative")
+        if not (math.isfinite(self.init_amplitude) and self.init_amplitude >= 0):
+            raise ValueError("init_amplitude must be non-negative and finite")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -185,8 +193,10 @@ def bfgs_minimize(
 
 @dataclass
 class OptimizationResult:
-    """Best-of-restarts pulse optimization outcome. G always recomputes as
-    (1-mu)*penalty - mu*fidelity from the reported pair."""
+    """Best-of-restarts pulse optimization outcome. ``fidelity`` and
+    ``penalty`` are those of ``best_seq`` (through ``propagate`` and
+    ``penalty``), and G always recomputes as (1-mu)*penalty - mu*fidelity
+    from the reported pair."""
 
     best_seq: ControlSequence
     fidelity: float
@@ -218,6 +228,7 @@ def optimize_controls(
     po = PulseObjective(
         spec, target, seq_template.n, seq_template.dt, seq_template.bound, obj_cfg
     )
+    u_target = target_unitary(target)
     children = np.random.SeedSequence(opt_cfg.seed).spawn(opt_cfg.restarts)
 
     best = None
@@ -225,10 +236,12 @@ def optimize_controls(
         rng = np.random.default_rng(children[r])
         x0 = rng.uniform(-opt_cfg.init_amplitude, opt_cfg.init_amplitude, 2 * seq_template.n)
         x, info = bfgs_minimize(po.value_and_grad, x0, seq_template.bound, opt_cfg)
-        fid, pen = po.recorded_metrics(x)
+        seq = po.sequence(x)
+        fid = fidelity(u_target, propagate(spec, seq))
+        pen = penalty(seq)
         g_true = (1.0 - obj_cfg.mu) * pen - obj_cfg.mu * fid
         candidate = OptimizationResult(
-            best_seq=po.sequence(x),
+            best_seq=seq,
             fidelity=fid,
             penalty=pen,
             G=g_true,

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinctrl import linalg
-from spinctrl.model import eigh_stack, propagators_from_eigh
+from spinctrl.model import eigh_stack, forward_products
 
 
 def random_hermitian(rng, dim):
@@ -15,7 +15,7 @@ def random_hermitian(rng, dim):
 def expm_minus_i(h, t):
     """exp(-i*t*h) as the slice kernel computes it, for a single slice."""
     evals, evecs = eigh_stack(np.asarray(h, dtype=complex)[None])
-    return propagators_from_eigh(evals, evecs, t)[0]
+    return forward_products(evals, evecs, t)[1]
 
 
 def random_density(rng, dim):
@@ -89,7 +89,7 @@ class TestEmbedSingleSite:
 
 
 class TestExpmMinusI:
-    """exp(-i*t*H) through eigh_stack and propagators_from_eigh."""
+    """exp(-i*t*H) through eigh_stack and forward_products."""
 
     def test_pauli_rotation(self):
         theta = np.pi / 2

@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import I2, SX, SY, SZ, dense_slice_hamiltonians, kron_chain
+from dense_reference import I2, SX, SY, SZ, dense_slice_hamiltonians, kron_chain, on_sites
 from spinctrl import linalg
 from spinctrl.model import (
     ChainSpec,
@@ -88,6 +88,10 @@ class TestSpecs:
             ChainSpec(n_sites=2, gamma=-0.1)
         with pytest.raises(ValueError):
             ChainSpec(n_sites=2, gamma=float("nan"))
+        with pytest.raises(ValueError):
+            ChainSpec(n_sites=2.5)
+        with pytest.raises(ValueError):
+            ChainSpec(n_sites=3.0)
 
     def test_sequence_validation(self):
         with pytest.raises(ValueError):
@@ -162,6 +166,14 @@ class TestSliceEigensystem:
         for blocks in (ops.drift, ops.field) + ((ops.star,) if env else ()):
             assert blocks.dtype == np.float64 and blocks.shape == (2, half, half)
             assert np.array_equal(blocks, blocks.swapaxes(-1, -2))
+
+    @pytest.mark.parametrize("env", [False, True])
+    def test_operators_built_once_and_read_only(self, env):
+        ops = slice_operators(ChainSpec(n_sites=3, env_enabled=env))
+        assert slice_operators(ChainSpec(n_sites=3, env_enabled=env)) is ops
+        for a in (ops.basis, ops.m, ops.drift, ops.field) + ((ops.star,) if env else ()):
+            with pytest.raises(ValueError):
+                a[...] = 0.0
 
 
 class TestControlHamiltonian:
@@ -311,6 +323,25 @@ class TestBlochTrajectories:
         evals = np.linalg.eigvalsh((rho_q1 + rho_q1.conj().T) / 2)
         assert np.all(evals > -1e-9)
         assert np.isclose(1 - np.linalg.norm(traj[-1, 0]) ** 2, 4 * evals[0] * evals[1], atol=1e-8)
+
+    @pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
+    def test_matches_expm_oracle(self, n_sites):
+        # oracle: scipy.linalg.expm slice by slice, then explicit Pauli
+        # expectations at every slice boundary
+        rng = np.random.default_rng(60 + n_sites)
+        spec = ChainSpec(n_sites=n_sites)
+        seq = random_seq(rng, 10, scale=3.0)
+        paulis = [[on_sites(n_sites, {q: s}) for s in (SX, SY, SZ)] for q in range(1, n_sites + 1)]
+        hams = dense_slice_hamiltonians(spec, seq.hx, seq.hy)
+        for label in ("".join(rng.choice(["0", "1"], n_sites)) for _ in range(2)):
+            traj = bloch_trajectories(spec, seq, label)
+            psi = np.zeros(spec.dim, dtype=complex)
+            psi[int(label, 2)] = 1.0
+            for j in range(seq.n + 1):
+                expected = [[np.vdot(psi, p @ psi).real for p in ps] for ps in paulis]
+                assert np.allclose(traj[j], expected, rtol=0.0, atol=1e-10)
+                if j < seq.n:
+                    psi = scipy.linalg.expm(-1j * seq.dt * hams[j]) @ psi
 
     def test_invalid_label(self):
         spec = ChainSpec(n_sites=2)

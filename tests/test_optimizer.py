@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from spinctrl.model import ChainSpec, ControlSequence, TargetGate
-from spinctrl.objective import ObjectiveConfig, surrogate_abs, surrogate_abs_derivative
+from spinctrl.model import ChainSpec, ControlSequence, TargetGate, propagate, target_unitary
+from spinctrl.objective import (
+    ObjectiveConfig,
+    fidelity,
+    penalty,
+    surrogate_abs,
+    surrogate_abs_derivative,
+)
 from spinctrl.optimizer import (
     OptimizerConfig,
     bfgs_minimize,
@@ -134,6 +140,16 @@ class TestBfgsMinimize:
             OptimizerConfig(restarts=0)
         with pytest.raises(ValueError):
             OptimizerConfig(seed=-1)
+        with pytest.raises(ValueError):
+            OptimizerConfig(init_amplitude=float("nan"))
+        with pytest.raises(ValueError):
+            OptimizerConfig(grad_tol=float("nan"))
+        with pytest.raises(ValueError):
+            OptimizerConfig(grad_tol=-1.0)
+        with pytest.raises(ValueError):
+            OptimizerConfig(restarts=1.5)
+        with pytest.raises(ValueError):
+            OptimizerConfig(max_iters=2.5)
 
 
 class TestOptimizeControls:
@@ -166,6 +182,22 @@ class TestOptimizeControls:
         cfg = ObjectiveConfig(mu=0.3, surrogate="fermi_dirac")
         res = optimize_controls(spec, target, tmpl, cfg, OptimizerConfig(seed=2, restarts=2))
         assert abs(res.G - ((1 - 0.3) * res.penalty - 0.3 * res.fidelity)) < 1e-12
+
+    # At b=2 and mu=0.9 the best pulses sit on the bound.
+    @pytest.mark.parametrize(
+        "seed,bound,mu", [(1, 10.0, 0.2), (2, 10.0, 0.2), (3, 2.0, 0.9), (4, 2.0, 0.9)]
+    )
+    def test_reported_metrics_are_those_of_best_seq(self, seed, bound, mu):
+        spec = ChainSpec(n_sites=3)
+        target = TargetGate("NOT", 3)
+        tmpl = ControlSequence.zeros(8, 0.2, bound)
+        cfg = ObjectiveConfig(mu=mu, surrogate="fermi_dirac")
+        opt = OptimizerConfig(max_iters=100, restarts=2, seed=seed)
+        res = optimize_controls(spec, target, tmpl, cfg, opt)
+        if bound == 2.0:
+            assert np.any(np.abs(res.best_seq.pulse_vector()) == bound)
+        assert res.fidelity == fidelity(target_unitary(target), propagate(spec, res.best_seq))
+        assert res.penalty == penalty(res.best_seq)
 
     def test_feasible_within_bound(self):
         spec = ChainSpec(n_sites=2)
