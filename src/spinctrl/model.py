@@ -129,6 +129,8 @@ class TargetGate:
     def __post_init__(self):
         if self.kind not in ("NOT", "SWAP"):
             raise ValueError(f"unknown target kind {self.kind!r}; expected 'NOT' or 'SWAP'")
+        if isinstance(self.n_sites, bool) or not isinstance(self.n_sites, numbers.Integral):
+            raise ValueError(f"n_sites must be an integer, not {self.n_sites!r}")
         minimum = 1 if self.kind == "NOT" else 2
         if self.n_sites < minimum:
             raise ValueError(f"{self.kind} requires at least {minimum} sites")

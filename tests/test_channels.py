@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinctrl import linalg
 from spinctrl.channels import (
@@ -101,16 +103,20 @@ class TestChoiOfUnitary:
 class TestChoiMatrixValidation:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
-            ChoiMatrix(system_dim=2, matrix=np.eye(3))
+            ChoiMatrix(system_dim=2, factor=np.full((3, 1), 1 / np.sqrt(3)))
 
     def test_rejects_traceless(self):
         with pytest.raises(ValueError):
-            ChoiMatrix(system_dim=2, matrix=np.zeros((4, 4)))
+            ChoiMatrix(system_dim=2, factor=np.zeros((4, 2)))
 
-    def test_rejects_negative(self):
-        m = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
-        with pytest.raises(ValueError):
-            ChoiMatrix(system_dim=2, matrix=m)
+    def test_matrix_of_unit_factor_is_hermitian_psd(self):
+        rng = np.random.default_rng(59)
+        f = rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3))
+        m = ChoiMatrix(system_dim=4, factor=f / np.linalg.norm(f)).matrix
+        assert m.shape == (16, 16)
+        assert np.max(np.abs(m - m.conj().T)) <= 1e-12
+        assert np.min(np.linalg.eigvalsh(m)) >= -1e-12
+        assert np.isclose(np.trace(m), 1.0, atol=1e-12)
 
 
 class TestChoiOfEnvChannel:
@@ -221,3 +227,37 @@ class TestRobustness:
             report.dist_env_muL,
         ):
             assert 0.0 <= d <= 2.0
+
+
+class TestChoiInvariants:
+    """Properties of the factored Choi states, checked on their dense matrices."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.sampled_from([0.0, 0.05, 0.3]),
+        st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=1, max_size=6),
+        st.sampled_from([1e-4, 1e-7, 1e-10]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_dense_invariants_and_distances(self, n_sites, gamma, pulses, eps, seed):
+        hx, hy = np.array(pulses).T
+        seq = ControlSequence(hx=hx, hy=hy, dt=0.2, bound=10.0)
+        u = propagate(ChainSpec(n_sites=n_sites), seq)
+        bare = choi_of_unitary(u)
+        env = choi_of_env_channel(ChainSpec(n_sites=n_sites, env_enabled=True, gamma=gamma), seq)
+        for choi in (bare, env):
+            m = choi.matrix
+            assert np.max(np.abs(m - m.conj().T)) <= 1e-12
+            assert np.min(np.linalg.eigvalsh(m)) >= -1e-12
+            assert abs(np.trace(m) - 1.0) <= 1e-12
+        if gamma == 0.0:
+            assert np.max(np.abs(env.matrix - bare.matrix)) <= 1e-10
+
+        rng = np.random.default_rng(seed)
+        h = rng.normal(size=u.shape) + 1j * rng.normal(size=u.shape)
+        near = choi_of_unitary(scipy.linalg.expm(-1j * eps * (h + h.conj().T)) @ u)
+        target = choi_of_unitary(haar_unitary(rng, u.shape[0]))
+        for a, b in ((bare, env), (env, bare), (target, env), (target, bare), (bare, near)):
+            dense = linalg.trace_norm(a.matrix - b.matrix)
+            assert abs(choi_distance(a, b) - dense) <= 1e-12

@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from spinctrl.cli import main
+from spinctrl.cli import _RUN_ONLY, ExperimentConfig, main
 from spinctrl.model import ChainSpec, ControlSequence, TargetGate, propagate, target_unitary
 from spinctrl.objective import fidelity, penalty
 
@@ -208,6 +209,28 @@ class TestRobustnessCommand:
         for key in ("dist_no_env_mu1", "dist_no_env_muL", "dist_env_mu1", "dist_env_muL"):
             assert 0.0 <= report[key] <= 2.0
         assert report["mu_used"] == report["config"]["mu"]
+
+
+NUMERIC_FIELDS = [f.name for f in fields(ExperimentConfig) if f.metadata["kind"] in (int, float)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command,name",
+    [("run", name) for name in NUMERIC_FIELDS]
+    + [("robustness", name) for name in NUMERIC_FIELDS if name not in _RUN_ONLY],
+)
+def test_non_finite_numeric_flag_exits_2_without_files(tmp_path, command, name, value):
+    out = tmp_path / "out"
+    # The flag under test comes last, so it overrides the small run size.
+    args = [command, "--target", "not3", "--n-pulses", "2", "--restarts", "1",
+            "--output-dir", str(out), f"--{name.lower().replace('_', '-')}={value}"]
+    try:
+        code = main(args)
+    except SystemExit as e:  # argparse rejects a non-integer count itself
+        code = e.code
+    assert code == 2
+    assert not out.exists()
 
 
 class TestEntryPoint:

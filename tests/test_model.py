@@ -114,6 +114,10 @@ class TestSpecs:
             TargetGate("CNOT", 2)
         with pytest.raises(ValueError):
             TargetGate("SWAP", 1)
+        with pytest.raises(ValueError):
+            TargetGate("NOT", 2.5)
+        with pytest.raises(ValueError):
+            TargetGate("NOT", True)
 
 
 class TestDriftHamiltonian:
