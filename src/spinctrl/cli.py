@@ -293,6 +293,8 @@ def run_optimize(cfg: ExperimentConfig) -> int:
             "hx": list(result.best_seq.hx),
             "hy": list(result.best_seq.hy),
         },
+        "converged": result.converged,
+        "line_search_failed": result.line_search_failed,
     }
     _write_json(out_dir / "result.json", payload)
     _write_pulses_csv(out_dir / "pulses.csv", result.best_seq)
@@ -302,7 +304,7 @@ def run_optimize(cfg: ExperimentConfig) -> int:
     print(
         f"{cfg.target}: F={result.fidelity:.6f} P={result.penalty:.6f} "
         f"G={result.G:.6f} restart={result.restart_index} "
-        f"iters={result.iterations_used} wall={wall:.2f}s",
+        f"iters={result.iterations_used} converged={result.converged} wall={wall:.2f}s",
         file=sys.stderr,
     )
     if cfg.min_fidelity is not None and result.fidelity < cfg.min_fidelity:

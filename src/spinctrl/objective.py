@@ -28,6 +28,9 @@ from .model import (
 )
 
 SURROGATES = ("signum", "fractional", "fermi_dirac")
+# Below this |Tr(U_target^† U)| the overlap is treated as singular: its phase is
+# undefined, so the fidelity gradient contribution is zeroed.
+GRAD_PHASE_EPSILON = 1e-12
 
 
 @dataclass(frozen=True)
@@ -35,16 +38,13 @@ class ObjectiveConfig:
     """Weight and smoothing parameters of the minimized functional.
 
     ``mu`` weights fidelity against the pulse penalty; ``alpha`` shapes the
-    fractional surrogate and ``kT`` the Fermi-Dirac one. Below
-    ``grad_phase_epsilon`` the trace overlap is treated as singular and the
-    fidelity gradient contribution is zeroed.
+    fractional surrogate and ``kT`` the Fermi-Dirac one.
     """
 
     mu: float
     surrogate: str = "fermi_dirac"
     alpha: float = 0.99
     kT: float = 0.01
-    grad_phase_epsilon: float = 1e-12
 
     def __post_init__(self):
         if not 0.0 <= self.mu <= 1.0:
@@ -179,7 +179,7 @@ class PulseObjective:
         # Tr(σ dm) = Σ_kl dm_lk σ_kl, for σ = Sx^1 and Sy^1 in one product.
         tx, ty = (dm.reshape(n, -1) @ self._controls_t).T
 
-        if abs(z) < cfg.grad_phase_epsilon:
+        if abs(z) < GRAD_PHASE_EPSILON:
             dfid_x = np.zeros(n)
             dfid_y = np.zeros(n)
         else:

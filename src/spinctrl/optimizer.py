@@ -1,5 +1,5 @@
-"""Projected BFGS with strong-Wolfe line search, plus a multi-restart driver
-for pulse optimization."""
+"""Box-constrained BFGS with a strong-Wolfe line search, plus a multi-restart
+driver for pulse optimization."""
 
 from __future__ import annotations
 
@@ -15,14 +15,15 @@ from .objective import ObjectiveConfig, PulseObjective, fidelity, penalty
 
 _CURVATURE_EPS = 1e-12
 _MAX_LINE_SEARCH_TRIALS = 50
+# Strong Wolfe constants: sufficient decrease and curvature.
+_WOLFE_C1 = 1e-4
+_WOLFE_C2 = 0.9
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_iters: int = 5000
     grad_tol: float = 1e-6
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
     restarts: int = 8
     init_amplitude: float = 0.5
     seed: int = 0
@@ -36,8 +37,6 @@ class OptimizerConfig:
             raise ValueError("max_iters must be at least 1")
         if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
             raise ValueError("grad_tol must be positive and finite")
-        if not 0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0:
-            raise ValueError("Wolfe constants must satisfy 0 < c1 < c2 < 1")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if not (math.isfinite(self.init_amplitude) and self.init_amplitude >= 0):
@@ -56,38 +55,38 @@ class BfgsInfo:
     objective_trace: list[float] = field(default_factory=list)
 
 
-def _wolfe_search(vag, x, p, f0, g0, c1, c2, max_trials=_MAX_LINE_SEARCH_TRIALS):
-    """Strong Wolfe line search: bracketing then bisection zoom.
-
-    Returns (alpha, f, g) at an acceptable step, or None after ``max_trials``
+def _wolfe_search(vag, point, p, f0, g0, a_max, max_trials=_MAX_LINE_SEARCH_TRIALS):
+    """Strong Wolfe line search over steps a in (0, a_max] along the ray
+    ``point(a)`` with direction ``p``: trials from min(1, a_max) double up to
+    ``a_max``, where a still-descending step is accepted, then bisection zoom.
+    Returns (x, f, g) at an acceptable step, or None after ``max_trials``
     function evaluations (counting both phases).
     """
     d0 = float(g0 @ p)
-    if d0 >= 0.0:
-        return None
     trials = 0
 
     def evaluate(a):
         nonlocal trials
         trials += 1
-        fa, ga = vag(x + a * p)
-        return fa, ga, float(ga @ p)
+        xa = point(a)
+        fa, ga = vag(xa)
+        return xa, fa, ga, float(ga @ p)
 
     a_prev, f_prev = 0.0, f0
-    a = 1.0
+    a = min(1.0, a_max)
     bracket = None
     while trials < max_trials:
-        fa, ga, da = evaluate(a)
-        if fa > f0 + c1 * a * d0 or (a_prev > 0.0 and fa >= f_prev):
+        xa, fa, ga, da = evaluate(a)
+        if fa > f0 + _WOLFE_C1 * a * d0 or (a_prev > 0.0 and fa >= f_prev):
             bracket = (a_prev, f_prev, a)
             break
-        if abs(da) <= -c2 * d0:
-            return a, fa, ga
+        if abs(da) <= -_WOLFE_C2 * d0 or (da < 0.0 and a >= a_max):
+            return xa, fa, ga
         if da >= 0.0:
             bracket = (a, fa, a_prev)
             break
         a_prev, f_prev = a, fa
-        a *= 2.0
+        a = min(2.0 * a, a_max)
     if bracket is None:
         return None
 
@@ -96,12 +95,12 @@ def _wolfe_search(vag, x, p, f0, g0, c1, c2, max_trials=_MAX_LINE_SEARCH_TRIALS)
         if abs(hi - lo) <= 1e-16 * max(1.0, abs(lo), abs(hi)):
             return None
         a = 0.5 * (lo + hi)
-        fa, ga, da = evaluate(a)
-        if fa > f0 + c1 * a * d0 or fa >= f_lo:
+        xa, fa, ga, da = evaluate(a)
+        if fa > f0 + _WOLFE_C1 * a * d0 or fa >= f_lo:
             hi = a
         else:
-            if abs(da) <= -c2 * d0:
-                return a, fa, ga
+            if abs(da) <= -_WOLFE_C2 * d0:
+                return xa, fa, ga
             if da * (hi - lo) >= 0.0:
                 hi = lo
             lo, f_lo = a, fa
@@ -117,57 +116,58 @@ def bfgs_minimize(
     """Minimize inside the box |x_i| <= bound.
 
     ``value_and_grad`` returns the objective and its gradient at a point;
-    the two must be consistent (the caller guarantees it). Iterates are
-    clamped into the box after each line-search step; the inverse-Hessian
-    approximation is reset to identity whenever clamping actually bites or
-    the curvature product s·y drops below 1e-12. A failed line search
-    terminates the run at the best point so far, with the failure flagged in
-    the returned info.
+    the two must be consistent (the caller guarantees it). A variable on the
+    bound is held while its gradient, or the quasi-Newton direction, points
+    out of the box. The run converges when the projected gradient pg (g with
+    the components held by the gradient zeroed) has |pg|∞ <= ``grad_tol``.
+    The step -H·pg, held components zeroed, ends at the nearest bound at the
+    latest, so every evaluated point lies in the box. The BFGS update ignores
+    held variables; H is reset to identity only when s·y <= 1e-12 or descent
+    is lost. A failed line search ends the run at the best point so far,
+    flagged in the returned info.
     """
     x = np.clip(np.asarray(x0, dtype=np.float64), -bound, bound)
     f, g = value_and_grad(x)
     dim = x.size
     hmat = np.eye(dim)
     fresh_hessian = True
-
     trace = [f]
-    converged = bool(np.max(np.abs(g)) <= cfg.grad_tol)
     ls_failed = False
     it = 0
-    while it < cfg.max_iters and not converged:
+    while True:
+        on_bound = np.abs(x) >= bound
+        pg = np.where(on_bound & (x * g < 0.0), 0.0, g)
+        converged = bool(np.max(np.abs(pg)) <= cfg.grad_tol)
+        if converged or it == cfg.max_iters:
+            break
         it += 1
-        p = -(hmat @ g)
+        p = -(hmat @ pg)
+        p[on_bound & ((x * g < 0.0) | (x * p > 0.0))] = 0.0
         if float(g @ p) >= 0.0:
             # Numerically lost descent; restart from steepest descent.
             hmat = np.eye(dim)
             fresh_hessian = True
-            p = -g
+            p = -pg
+        held = on_bound & (x * p >= 0.0)
 
-        result = _wolfe_search(value_and_grad, x, p, f, g, cfg.wolfe_c1, cfg.wolfe_c2)
+        # Step length at which each moving variable reaches the bound ahead.
+        reach = np.full(dim, np.inf)
+        np.divide(bound - np.sign(p) * x, np.abs(p), out=reach, where=p != 0.0)
+
+        def point(a):
+            # A variable whose bound is reached sits on it; the clip guards rounding.
+            return np.where(reach <= a, np.sign(p) * bound, np.clip(x + a * p, -bound, bound))
+
+        result = _wolfe_search(value_and_grad, point, p, f, g, float(reach.min()))
         if result is None:
             ls_failed = True
             break
-        alpha, f_new, g_new = result
-
-        x_raw = x + alpha * p
-        x_new = np.clip(x_raw, -bound, bound)
-        projected = not np.array_equal(x_new, x_raw)
-        if projected:
-            f_new, g_new = value_and_grad(x_new)
-            backtracks = 0
-            while f_new > f and backtracks < _MAX_LINE_SEARCH_TRIALS:
-                alpha *= 0.5
-                x_new = np.clip(x + alpha * p, -bound, bound)
-                f_new, g_new = value_and_grad(x_new)
-                backtracks += 1
-            if f_new > f:
-                ls_failed = True
-                break
+        x_new, f_new, g_new = result
 
         s = x_new - x
-        y = g_new - g
+        y = np.where(held, 0.0, g_new - g)
         sy = float(s @ y)
-        if projected or sy <= _CURVATURE_EPS:
+        if sy <= _CURVATURE_EPS:
             hmat = np.eye(dim)
             fresh_hessian = True
         else:
@@ -181,7 +181,6 @@ def bfgs_minimize(
 
         x, f, g = x_new, f_new, g_new
         trace.append(f)
-        converged = bool(np.max(np.abs(g)) <= cfg.grad_tol)
 
     return x, BfgsInfo(
         iterations=it,

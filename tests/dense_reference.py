@@ -10,7 +10,7 @@ import numpy as np
 
 from spinctrl import linalg
 from spinctrl.model import target_unitary
-from spinctrl.objective import surrogate_abs, surrogate_abs_derivative
+from spinctrl.objective import GRAD_PHASE_EPSILON, surrogate_abs, surrogate_abs_derivative
 
 SX, SY, SZ = (linalg.pauli(a) for a in "xyz")
 I2 = np.eye(2, dtype=complex)
@@ -86,7 +86,7 @@ def dense_value_and_grad(spec, target, dt, bound, cfg, x):
     a_t = (vdag @ (fwd[:n] @ ut_dag) @ bwd[1:] @ evecs).swapaxes(-1, -2)
     tx = np.sum(a_t * kernel * (vdag @ sx1 @ evecs), axis=(1, 2))
     ty = np.sum(a_t * kernel * (vdag @ sy1 @ evecs), axis=(1, 2))
-    if abs(z) < cfg.grad_phase_epsilon:
+    if abs(z) < GRAD_PHASE_EPSILON:
         dfid_x = dfid_y = np.zeros(n)
     else:
         dfid_x = np.real(np.conj(z) * tx) / (abs(z) * dim)

@@ -37,8 +37,12 @@ class TestRunCommand:
     def test_writes_all_outputs(self, tmp_path):
         assert main(tiny_run_args(tmp_path)) == 0
         result = json.loads((tmp_path / "result.json").read_text())
-        for key in ("config", "fidelity", "penalty", "G", "iterations_used", "restart_index", "pulses"):
-            assert key in result
+        assert list(result) == [
+            "config", "fidelity", "penalty", "G", "iterations_used", "restart_index", "pulses",
+            "converged", "line_search_failed",
+        ]
+        assert isinstance(result["converged"], bool)
+        assert isinstance(result["line_search_failed"], bool)
         assert result["config"]["target"] == "not3"
         assert result["config"]["n_pulses"] == 6
         assert len(result["pulses"]["hx"]) == 6

