@@ -295,6 +295,7 @@ def run_optimize(cfg: ExperimentConfig) -> int:
         },
         "converged": result.converged,
         "line_search_failed": result.line_search_failed,
+        "evaluations": result.evaluations,
     }
     _write_json(out_dir / "result.json", payload)
     _write_pulses_csv(out_dir / "pulses.csv", result.best_seq)
@@ -304,7 +305,8 @@ def run_optimize(cfg: ExperimentConfig) -> int:
     print(
         f"{cfg.target}: F={result.fidelity:.6f} P={result.penalty:.6f} "
         f"G={result.G:.6f} restart={result.restart_index} "
-        f"iters={result.iterations_used} converged={result.converged} wall={wall:.2f}s",
+        f"iters={result.iterations_used} evals={result.evaluations} "
+        f"converged={result.converged} wall={wall:.2f}s",
         file=sys.stderr,
     )
     if cfg.min_fidelity is not None and result.fidelity < cfg.min_fidelity:

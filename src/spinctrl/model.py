@@ -12,9 +12,12 @@ The kernel works in the chain's symmetry sectors. The isotropic drift and
 star coupling commute with rotations about z, so a slice with field (hx, hy)
 is H = D (H0 + r*Sx^1 [+ s*star]) D^dag with r = |h|, phi = atan2(hy, hx)
 and the diagonal D = exp(-i*phi*Sz_total/2). The inner matrix is real and
-commutes with the global spin flip, so it splits into two real blocks of half
-the dimension, the only matrices that are diagonalized (``eigh_stack``). No
-dense slice Hamiltonian is built.
+conserves the total Sx, so in the real orthogonal basis of Sx product states
+it splits into one real block per total-Sx sector, of sizes C(n, k) on n
+qubits (1/4/6/4/1 at N=4, 1/5/10/10/5/1 with the environment qubit). These
+blocks are the only matrices that are diagonalized (``eigh_stack``), and the
+eigenvectors stay factored as V = D R with R real, so that each slice
+propagator is formed from real products. No dense slice Hamiltonian is built.
 
 Conventions: spin operators are the bare Pauli matrices; control-field
 amplitudes are in units of the chain coupling and times in its inverse.
@@ -24,6 +27,7 @@ U_n ... U_2 U_1.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import numbers
@@ -177,46 +181,62 @@ def env_coupling_operator(n_sites: int) -> np.ndarray:
     return _exchange_sum([(i, total) for i in range(1, total)], total)
 
 
-def _sector_basis(dim: int) -> np.ndarray:
-    """Real orthonormal bases of the two eigenspaces of the global spin flip.
+def _sector_basis(weight: np.ndarray) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+    """Real orthogonal basis of the total-Sx sectors, and its column groups.
 
-    Shape (2, dim, dim/2): sector 0 holds (|b> + |b~>)/sqrt(2) and sector 1
-    holds (|b> - |b~>)/sqrt(2), for the basis states b whose first qubit is 0
-    and their complements b~ = dim - 1 - b.
+    ``weight`` holds popcount(c) for every index c. Column c of H^⊗n (H the
+    2x2 Hadamard matrix) is a product of Sx eigenstates with total
+    Sx = n - 2*popcount(c), so the sector of weight w has C(n, w) columns. The
+    returned basis holds these columns grouped by sector size, smallest first,
+    and each group is the (count, size) of its run of ``count`` sectors of
+    ``size`` columns, weight by weight.
     """
-    half = dim // 2
-    b = np.arange(half)
-    basis = np.zeros((2, dim, half))
-    basis[:, b, b] = math.sqrt(0.5)
-    basis[0, dim - 1 - b, b] = math.sqrt(0.5)
-    basis[1, dim - 1 - b, b] = -math.sqrt(0.5)
-    return basis
+    n_qubits = len(weight).bit_length() - 1
+    hadamard = np.ones((1, 1))
+    for _ in range(n_qubits):
+        hadamard = np.kron(hadamard, np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0))
+    sizes = np.array([math.comb(n_qubits, w) for w in range(n_qubits + 1)])
+    counts = collections.Counter(sizes.tolist())
+    order = np.lexsort((weight, sizes[weight]))
+    return hadamard[:, order], tuple((counts[size], size) for size in sorted(counts))
 
 
-def _sector_blocks(basis: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """The two diagonal blocks of a real, flip-invariant operator in the
-    sector basis, shape (2, dim/2, dim/2), symmetrized."""
-    blocks = basis.swapaxes(-1, -2) @ op.real @ basis
-    return (blocks + blocks.swapaxes(-1, -2)) / 2.0
+def _group_columns(a: np.ndarray, start: int, count: int, size: int) -> np.ndarray:
+    """View of the columns start .. start + count*size of ``a`` (..., dim, dim)
+    as ``count`` sectors of ``size`` columns, shape (..., count, dim, size)."""
+    cols = a[..., start : start + count * size]
+    return cols.reshape(*cols.shape[:-1], count, size).swapaxes(-2, -3)
+
+
+def _sector_blocks(basis: np.ndarray, groups, op: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The diagonal blocks of a real operator that conserves total Sx, one
+    stack (count, size, size) per column group of ``basis``, symmetrized."""
+    blocks, start = [], 0
+    for count, size in groups:
+        q = _group_columns(basis, start, count, size)
+        b = q.swapaxes(-1, -2) @ op.real @ q
+        blocks.append((b + b.swapaxes(-1, -2)) / 2.0)
+        start += count * size
+    return tuple(blocks)
 
 
 @dataclass(frozen=True)
 class SliceOperators:
     """The fixed operators of a chain's slice Hamiltonians.
 
-    ``basis`` (see ``_sector_basis``) splits the space into the two sectors of
-    the global spin flip, and ``drift``, ``field`` (Sx on site 1) and ``star``
-    (the environment coupling) are their real sector blocks, shape
-    (2, dim/2, dim/2). ``star`` is None on the bare chain, where every
-    operator acts on the chain alone. ``m`` is the total Sz of each
-    computational basis state.
+    ``basis`` (see ``_sector_basis``) is the real orthogonal basis whose
+    columns span the total-Sx sectors, grouped by sector size. ``drift``,
+    ``field`` (Sx on site 1) and ``star`` (the environment coupling) hold
+    their real sector blocks, one stack (count, size, size) per group.
+    ``star`` is None on the bare chain, where every operator acts on the
+    chain alone. ``m`` is the total Sz of each computational basis state.
     """
 
     basis: np.ndarray
     m: np.ndarray
-    drift: np.ndarray
-    field: np.ndarray
-    star: np.ndarray | None
+    drift: tuple[np.ndarray, ...]
+    field: tuple[np.ndarray, ...]
+    star: tuple[np.ndarray, ...] | None
     gamma: float
 
 
@@ -236,19 +256,18 @@ def slice_operators(spec: ChainSpec) -> SliceOperators:
         star = env_coupling_operator(spec.n_sites)
     dim = drift.shape[0]
     n_qubits = dim.bit_length() - 1
-    bits = (np.arange(dim)[:, None] >> np.arange(n_qubits)) & 1
-    basis = _sector_basis(dim)
+    weight = ((np.arange(dim)[:, None] >> np.arange(n_qubits)) & 1).sum(axis=1)
+    basis, groups = _sector_basis(weight)
     ops = SliceOperators(
         basis=basis,
-        m=(n_qubits - 2 * bits.sum(axis=1)).astype(np.float64),
-        drift=_sector_blocks(basis, drift),
-        field=_sector_blocks(basis, sx1),
-        star=None if star is None else _sector_blocks(basis, star),
+        m=(n_qubits - 2 * weight).astype(np.float64),
+        drift=_sector_blocks(basis, groups, drift),
+        field=_sector_blocks(basis, groups, sx1),
+        star=None if star is None else _sector_blocks(basis, groups, star),
         gamma=spec.gamma,
     )
-    for a in (ops.basis, ops.m, ops.drift, ops.field, ops.star):
-        if a is not None:
-            a.setflags(write=False)
+    for a in (ops.basis, ops.m, *ops.drift, *ops.field, *(ops.star or ())):
+        a.setflags(write=False)
     return ops
 
 
@@ -260,38 +279,60 @@ def eigh_stack(h_stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def slice_eigensystem(
     ops: SliceOperators, hx: np.ndarray, hy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (n, dim) and eigenvectors (n, dim, dim) of every slice
-    Hamiltonian H_j = drift + hx_j*Sx^1 + hy_j*Sy^1 [+ s_j*star], where
-    s_j = gamma*(|hx_j| + |hy_j|) couples the environment qubit.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factored eigensystem (evals, R, phase) of every slice Hamiltonian
+    H_j = drift + hx_j*Sx^1 + hy_j*Sy^1 [+ s_j*star], where
+    s_j = gamma*(|hx_j| + |hy_j|) couples the environment qubit: eigenvalues
+    (n, dim), a real orthogonal R (n, dim, dim) and phases (n, dim), the
+    eigenvectors being V = phase[:, :, None] * R.
 
     With r = |h_j|, phi = atan2(hy_j, hx_j) and D = diag(exp(-i*phi*m/2)),
     H_j = D (drift + r*Sx^1 [+ s_j*star]) D^dag. The inner matrix is real and
-    commutes with the global spin flip, so it is diagonalized as two real
-    blocks per slice. At r = 0 it commutes with D and phi is taken as 0.
+    conserves the total Sx, so it is diagonalized sector by sector, with one
+    ``eigh_stack`` call per sector size, and R = basis * blockdiag(W). At
+    r = 0 it commutes with D and phi is taken as 0.
     """
     n, dim = hx.size, ops.m.size
     r = np.hypot(hx, hy)
     phi = np.where(r > 0.0, np.arctan2(hy, hx), 0.0)
-    blocks = ops.drift + r[:, None, None, None] * ops.field
-    if ops.star is not None:
-        blocks += (ops.gamma * (np.abs(hx) + np.abs(hy)))[:, None, None, None] * ops.star
-    evals, w = eigh_stack(blocks)
-    # Columns of sector 0, then of sector 1, in the computational basis.
-    q = (ops.basis @ w).swapaxes(1, 2).reshape(n, dim, dim)
-    phase = np.exp(-0.5j * phi[:, None] * ops.m)
-    return evals.reshape(n, dim), phase[:, :, None] * q
+    s = ops.gamma * (np.abs(hx) + np.abs(hy))
+    evals = np.empty((n, dim))
+    rot = np.empty((n, dim, dim))
+    start = 0
+    for g, (drift, field) in enumerate(zip(ops.drift, ops.field)):
+        count, size = drift.shape[:2]
+        blocks = drift + r[:, None, None, None] * field
+        if ops.star is not None:
+            blocks += s[:, None, None, None] * ops.star[g]
+        lam, w = eigh_stack(blocks)
+        evals[:, start : start + count * size] = lam.reshape(n, count * size)
+        # R's columns of this group: the basis columns of each sector times W.
+        cols = _group_columns(rot, start, count, size)
+        cols[...] = _group_columns(ops.basis, start, count, size) @ w
+        start += count * size
+    return evals, rot, np.exp(-0.5j * phi[:, None] * ops.m)
 
 
-def forward_products(evals: np.ndarray, evecs: np.ndarray, dt: float) -> np.ndarray:
-    """Cumulative propagators of a slice eigensystem, shape (n + 1, dim, dim):
-    entry 0 is the identity and entry j is U_j ... U_2 U_1, where
-    U_j = V_j diag(h_j**2) V_j^dag with h_j = exp(-i*dt*evals_j/2)."""
-    half = np.exp(-0.5j * dt * evals)
-    props = (evecs * (half * half)[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
+def forward_products(
+    evals: np.ndarray, rot: np.ndarray, phase: np.ndarray, dt: float
+) -> np.ndarray:
+    """Cumulative propagators of a factored slice eigensystem (see
+    ``slice_eigensystem``), shape (n + 1, dim, dim): entry 0 is the identity
+    and entry j is U_j ... U_2 U_1, where U_j = D_j R_j exp(-i*dt*evals_j) R_j^T
+    D_j^dag with D_j = diag(phase_j), i.e. the elementwise product of
+    phase_k*conj(phase_l) with R cos(dt*evals) R^T - i R sin(dt*evals) R^T."""
     n, dim = evals.shape
-    # Allocated after the temporaries of props are freed, so that no more
-    # than four (n, dim, dim) stacks are held at once.
+    trig = np.stack([np.cos(dt * evals), -np.sin(dt * evals)], axis=1)
+    # R cos R^T over -R sin R^T: both real products in one, stacked by rows.
+    parts = (rot[:, None] * trig[:, :, None, :]).reshape(n, 2 * dim, dim) @ rot.swapaxes(-1, -2)
+    props = np.empty((n, dim, dim), dtype=np.complex128)
+    props.real = parts[:, :dim]
+    props.imag = parts[:, dim:]
+    del parts
+    props *= phase[:, :, None]
+    props *= phase.conj()[:, None, :]
+    # Allocated after the real parts are freed, so that no more than two
+    # complex (n, dim, dim) stacks are held at once besides R.
     fwd = np.empty((n + 1, dim, dim), dtype=np.complex128)
     fwd[0] = np.eye(dim)
     for j in range(n):
@@ -302,9 +343,9 @@ def forward_products(evals: np.ndarray, evecs: np.ndarray, dt: float) -> np.ndar
 def propagate(spec: ChainSpec, seq: ControlSequence) -> np.ndarray:
     """Total unitary generated by the control sequence, on chain + environment
     qubit when ``spec.env_enabled`` is set and on the bare chain otherwise."""
-    evals, evecs = slice_eigensystem(slice_operators(spec), seq.hx, seq.hy)
+    eig = slice_eigensystem(slice_operators(spec), seq.hx, seq.hy)
     # A copy, so that the caller does not keep the whole stack alive.
-    return forward_products(evals, evecs, seq.dt)[-1].copy()
+    return forward_products(*eig, seq.dt)[-1].copy()
 
 
 def propagate_with_env(spec: ChainSpec, seq: ControlSequence) -> np.ndarray:
@@ -331,9 +372,9 @@ def bloch_trajectories(
         )
     if spec.env_enabled:
         raise ValueError("Bloch trajectories are defined on the bare chain only")
-    evals, evecs = slice_eigensystem(slice_operators(spec), seq.hx, seq.hy)
+    eig = slice_eigensystem(slice_operators(spec), seq.hx, seq.hy)
     # psi[j]: the state after the first j slices.
-    psi = forward_products(evals, evecs, seq.dt)[:, :, int(label, 2)]
+    psi = forward_products(*eig, seq.dt)[:, :, int(label, 2)]
     # Qubit q (1-based) is bit n_sites - q of basis index k: sign[k, q] is
     # its sz eigenvalue and flip[k, q] the index with that bit toggled, so
     # sx|k> = |flip>, sy|k> = i*sign|flip> and, with pair = conj(psi_k)*psi_flip,

@@ -152,10 +152,13 @@ class PulseObjective:
         x = np.asarray(x, dtype=np.float64)
         hx, hy = x[:n], x[n:]
 
-        evals, evecs = slice_eigensystem(slice_operators(self.spec), hx, hy)
+        evals, rot, phase = slice_eigensystem(slice_operators(self.spec), hx, hy)
         # fwd[j]: the product of the first j slice propagators, whose phases
         # are h² with h = e^(-i*dt*λ/2); the gradient kernel uses h_a*conj(h_b).
-        fwd = forward_products(evals, evecs, dt)
+        fwd = forward_products(evals, rot, phase, dt)
+        # The eigenvectors V = D R, built once; R is freed before the gradient.
+        evecs = phase[:, :, None] * rot
+        del rot
         half = np.exp(-0.5j * dt * evals)
         overlap = self._ut_dag @ fwd[n]
         z = np.trace(overlap)

@@ -47,11 +47,13 @@ class OptimizerConfig:
 
 @dataclass
 class BfgsInfo:
-    """Outcome of one BFGS run: accepted-iterate objective values and flags."""
+    """Outcome of one BFGS run: accepted-iterate objective values, flags and
+    the number of ``value_and_grad`` calls."""
 
     iterations: int
     converged: bool
     line_search_failed: bool
+    evaluations: int
     objective_trace: list[float] = field(default_factory=list)
 
 
@@ -126,8 +128,15 @@ def bfgs_minimize(
     is lost. A failed line search ends the run at the best point so far,
     flagged in the returned info.
     """
+    evaluations = 0
+
+    def counted(x):
+        nonlocal evaluations
+        evaluations += 1
+        return value_and_grad(x)
+
     x = np.clip(np.asarray(x0, dtype=np.float64), -bound, bound)
-    f, g = value_and_grad(x)
+    f, g = counted(x)
     dim = x.size
     hmat = np.eye(dim)
     fresh_hessian = True
@@ -158,7 +167,7 @@ def bfgs_minimize(
             # A variable whose bound is reached sits on it; the clip guards rounding.
             return np.where(reach <= a, np.sign(p) * bound, np.clip(x + a * p, -bound, bound))
 
-        result = _wolfe_search(value_and_grad, point, p, f, g, float(reach.min()))
+        result = _wolfe_search(counted, point, p, f, g, float(reach.min()))
         if result is None:
             ls_failed = True
             break
@@ -186,6 +195,7 @@ def bfgs_minimize(
         iterations=it,
         converged=converged,
         line_search_failed=ls_failed,
+        evaluations=evaluations,
         objective_trace=trace,
     )
 
@@ -195,7 +205,8 @@ class OptimizationResult:
     """Best-of-restarts pulse optimization outcome. ``fidelity`` and
     ``penalty`` are those of ``best_seq`` (through ``propagate`` and
     ``penalty``), and G always recomputes as (1-mu)*penalty - mu*fidelity
-    from the reported pair."""
+    from the reported pair. ``evaluations`` counts the objective evaluations
+    of the reported restart."""
 
     best_seq: ControlSequence
     fidelity: float
@@ -206,6 +217,7 @@ class OptimizationResult:
     seed: int
     converged: bool
     line_search_failed: bool
+    evaluations: int
 
 
 def optimize_controls(
@@ -249,6 +261,7 @@ def optimize_controls(
             seed=opt_cfg.seed,
             converged=info.converged,
             line_search_failed=info.line_search_failed,
+            evaluations=info.evaluations,
         )
         if best is None or candidate.G < best.G:
             best = candidate

@@ -39,7 +39,7 @@ class TestRunCommand:
         result = json.loads((tmp_path / "result.json").read_text())
         assert list(result) == [
             "config", "fidelity", "penalty", "G", "iterations_used", "restart_index", "pulses",
-            "converged", "line_search_failed",
+            "converged", "line_search_failed", "evaluations",
         ]
         assert isinstance(result["converged"], bool)
         assert isinstance(result["line_search_failed"], bool)

@@ -12,10 +12,21 @@ def random_hermitian(rng, dim):
     return (m + m.conj().T) / 2.0
 
 
-def expm_minus_i(h, t):
-    """exp(-i*t*h) as the slice kernel computes it, for a single slice."""
-    evals, evecs = eigh_stack(np.asarray(h, dtype=complex)[None])
-    return forward_products(evals, evecs, t)[1]
+def random_symmetric(rng, dim):
+    m = rng.normal(size=(dim, dim))
+    return (m + m.T) / 2.0
+
+
+def random_phase(rng, dim):
+    return np.exp(1j * rng.uniform(-np.pi, np.pi, dim))
+
+
+def expm_minus_i(s, phase, t):
+    """exp(-i*t*H) for H = D S D^dag with S real symmetric and D = diag(phase),
+    as the slice kernel computes it for a single slice: S through eigh_stack,
+    then forward_products of the factored eigensystem."""
+    evals, rot = eigh_stack(np.asarray(s, dtype=np.float64)[None])
+    return forward_products(evals, rot, np.asarray(phase)[None], t)[1]
 
 
 def random_density(rng, dim):
@@ -89,31 +100,35 @@ class TestEmbedSingleSite:
 
 
 class TestExpmMinusI:
-    """exp(-i*t*H) through eigh_stack and forward_products."""
+    """exp(-i*t*H) through eigh_stack and forward_products, for H = D S D^dag
+    with S real symmetric and D a diagonal phase: the slice kernel's form."""
 
     def test_pauli_rotation(self):
+        # H = D sx D^dag is a Pauli along a random axis in the xy plane
         theta = np.pi / 2
-        u = expm_minus_i(linalg.pauli("x"), theta)
-        expected = np.cos(theta) * np.eye(2) - 1j * np.sin(theta) * linalg.pauli("x")
+        phase = random_phase(np.random.default_rng(3), 2)
+        u = expm_minus_i(linalg.pauli("x").real, phase, theta)
+        axis = phase[:, None] * linalg.pauli("x") * phase.conj()[None, :]
+        expected = np.cos(theta) * np.eye(2) - 1j * np.sin(theta) * axis
         assert np.allclose(u, expected, atol=1e-12)
 
     def test_zero_time_is_identity(self):
         rng = np.random.default_rng(5)
-        h = random_hermitian(rng, 8)
-        assert np.allclose(expm_minus_i(h, 0.0), np.eye(8), atol=1e-12)
+        u = expm_minus_i(random_symmetric(rng, 8), random_phase(rng, 8), 0.0)
+        assert np.allclose(u, np.eye(8), atol=1e-12)
 
     def test_semigroup(self):
         # oracle: direct computation of the combined time
         rng = np.random.default_rng(17)
-        h = random_hermitian(rng, 4)
+        h, phase = random_symmetric(rng, 4), random_phase(rng, 4)
         s, t = 0.37, 1.21
-        combined = expm_minus_i(h, s) @ expm_minus_i(h, t)
-        assert np.allclose(combined, expm_minus_i(h, s + t), atol=1e-12)
+        combined = expm_minus_i(h, phase, s) @ expm_minus_i(h, phase, t)
+        assert np.allclose(combined, expm_minus_i(h, phase, s + t), atol=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 8, 32])
     def test_unitary_output(self, dim):
         rng = np.random.default_rng(dim)
-        u = expm_minus_i(random_hermitian(rng, dim), 0.7)
+        u = expm_minus_i(random_symmetric(rng, dim), random_phase(rng, dim), 0.7)
         assert np.max(np.abs(u @ u.conj().T - np.eye(dim))) < 1e-9
 
 
@@ -181,6 +196,6 @@ class TestTraceNorm:
 @settings(max_examples=30)
 @given(st.floats(min_value=-5.0, max_value=5.0))
 def test_expm_phase_matches_scalar(theta):
-    # 1x1 case reduces to the scalar exponential
-    u = expm_minus_i(np.array([[1.0]]), theta)
+    # 1x1 case reduces to the scalar exponential, whatever the phase
+    u = expm_minus_i(np.array([[1.0]]), np.exp([0.4j]), theta)
     assert np.isclose(u[0, 0], np.exp(-1j * theta))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -28,7 +30,8 @@ def random_seq(rng, n, dt=0.2, bound=10.0, scale=1.0):
 
 def kernel_hamiltonians(spec, hx, hy):
     """The slice Hamiltonians V diag(λ) V^† rebuilt from the kernel's eigensystems."""
-    evals, evecs = slice_eigensystem(slice_operators(spec), np.asarray(hx), np.asarray(hy))
+    evals, rot, phase = slice_eigensystem(slice_operators(spec), np.asarray(hx), np.asarray(hy))
+    evecs = phase[:, :, None] * rot
     return (evecs * evals[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
 
 
@@ -157,25 +160,51 @@ class TestSliceEigensystem:
     def test_rebuilds_dense_oracle(self, n_sites, env, gamma, coupling, pulses):
         hx, hy = np.array(EDGE_SLICES + pulses).T
         spec = ChainSpec(n_sites=n_sites, coupling=coupling, env_enabled=env, gamma=gamma)
-        evals, evecs = slice_eigensystem(slice_operators(spec), hx, hy)
+        evals, rot, phase = slice_eigensystem(slice_operators(spec), hx, hy)
+        evecs = phase[:, :, None] * rot
         rebuilt = (evecs * evals[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
         assert np.max(np.abs(rebuilt - dense_slice_hamiltonians(spec, hx, hy))) < 1e-12
         gram = evecs.conj().swapaxes(-1, -2) @ evecs
         assert np.max(np.abs(gram - np.eye(spec.dim * (1 + env)))) < 1e-12
 
     @pytest.mark.parametrize("env", [False, True])
-    def test_real_blocks_of_half_size(self, env):
-        ops = slice_operators(ChainSpec(n_sites=3, env_enabled=env))
-        half = 4 * (1 + env)
-        for blocks in (ops.drift, ops.field) + ((ops.star,) if env else ()):
-            assert blocks.dtype == np.float64 and blocks.shape == (2, half, half)
-            assert np.array_equal(blocks, blocks.swapaxes(-1, -2))
+    def test_sector_sizes_and_real_blocks(self, env):
+        # sectors of total Sx on q qubits have C(q, k) states, k = 0..q
+        for n_sites in range(1, 5):
+            ops = slice_operators(ChainSpec(n_sites=n_sites, env_enabled=env))
+            q = n_sites + env
+            sizes = sorted(b.shape[1] for b in ops.drift for _ in range(b.shape[0]))
+            assert sizes == sorted(math.comb(q, k) for k in range(q + 1))
+            assert np.max(np.abs(ops.basis.T @ ops.basis - np.eye(2**q))) < 1e-14
+            assert (ops.star is not None) == env
+            for group in (ops.drift, ops.field) + ((ops.star,) if env else ()):
+                assert len(group) == len(ops.drift)
+                for blocks, drift in zip(group, ops.drift):
+                    assert blocks.dtype == np.float64 and blocks.shape == drift.shape
+                    assert np.array_equal(blocks, blocks.swapaxes(-1, -2))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 4), st.sampled_from([False, True]), st.sampled_from([1.0, 2.5]),
+           st.floats(0.0, 3.0), st.sampled_from([0.0, 0.3]))
+    def test_basis_block_diagonalizes_oracle(self, n_sites, env, coupling, r, gamma):
+        # oracle: the dense inner matrix (hy = 0, so phi = 0), rotated by the
+        # basis, vanishes between columns of different total Sx
+        spec = ChainSpec(n_sites=n_sites, coupling=coupling, env_enabled=env, gamma=gamma)
+        q = n_sites + env
+        basis = slice_operators(spec).basis
+        sx_total = basis.T @ sum(on_sites(q, {k: SX}) for k in range(1, q + 1)).real @ basis
+        assert np.max(np.abs(sx_total - np.diag(np.diag(sx_total)))) < 1e-12
+        sector = np.round(np.diag(sx_total))
+        inner = basis.T @ dense_slice_hamiltonians(spec, [r], [0.0])[0].real @ basis
+        assert np.max(np.abs(inner[sector[:, None] != sector[None, :]])) < 1e-14
 
     @pytest.mark.parametrize("env", [False, True])
     def test_operators_built_once_and_read_only(self, env):
         ops = slice_operators(ChainSpec(n_sites=3, env_enabled=env))
         assert slice_operators(ChainSpec(n_sites=3, env_enabled=env)) is ops
-        for a in (ops.basis, ops.m, ops.drift, ops.field) + ((ops.star,) if env else ()):
+        # one group per distinct sector size: {1, 3} on 3 qubits, {1, 4, 6} on 4
+        assert len(ops.drift) == len(ops.field) == 2 + env
+        for a in (ops.basis, ops.m, *ops.drift, *ops.field, *(ops.star if env else ())):
             with pytest.raises(ValueError):
                 a[...] = 0.0
 
@@ -200,8 +229,9 @@ class TestEnvHamiltonian:
         # the environment qubit and its coupling appear only when enabled
         ops = slice_operators(ChainSpec(n_sites=2, gamma=0.3))
         assert ops.star is None
-        evals, evecs = slice_eigensystem(ops, np.array([1.0]), np.array([0.0]))
-        assert evals.shape == (1, 4) and evecs.shape == (1, 4, 4)
+        assert ops.basis.shape == (4, 4) and sum(b.shape[0] * b.shape[1] for b in ops.drift) == 4
+        evals, rot, phase = slice_eigensystem(ops, np.array([1.0]), np.array([0.0]))
+        assert evals.shape == (1, 4) and rot.shape == (1, 4, 4) and phase.shape == (1, 4)
 
     def test_zero_pulses_decouple(self):
         spec = ChainSpec(n_sites=2, env_enabled=True, gamma=0.3)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import dense_value_and_grad
@@ -224,6 +224,12 @@ def objective_cases(draw):
 class TestGradient:
     @settings(max_examples=40, deadline=None)
     @given(objective_cases(), st.sampled_from(SURROGATES))
+    # A nearly singular overlap, |z| = 3.9e-9: two correct gradients differ
+    # here by 1e-10 to 7e-10.
+    @example(
+        (ChainSpec(n_sites=2), TargetGate("NOT", 2), np.array([0.0, 0.0, 1e-8, 0.0, 0.0, 0.0])),
+        "signum",
+    )
     def test_matches_dense_reference(self, case, surrogate):
         spec, target, x = case
         cfg = ObjectiveConfig(mu=0.4, surrogate=surrogate)
@@ -231,7 +237,13 @@ class TestGradient:
         value, grad = po.value_and_grad(x)
         ref_value, ref_grad = dense_value_and_grad(spec, target, 0.2, 10.0, cfg, x)
         assert abs(value - ref_value) < 1e-12
-        assert np.max(np.abs(grad - ref_grad)) < 1e-12
+        # The gradient follows the phase of z = Tr(U_T^dag U), which float64
+        # fixes only to about 1e-16/|z| rad; the bound is 1e-12 for |z| >= 1e-5
+        # and at z = 0, where both sides drop the fidelity term.
+        u = propagate(spec, po.sequence(x))
+        z = abs(np.trace(target_unitary(target).conj().T @ u))
+        tol = max(1e-12, 1e-17 / z) if z > 0.0 else 1e-12
+        assert np.max(np.abs(grad - ref_grad)) < tol
 
     def test_mu_zero_is_pure_penalty_gradient(self):
         rng = np.random.default_rng(21)

@@ -143,6 +143,7 @@ class TestBfgsMinimize:
         # g_i may be nonzero only where x_i sits on the bound and -g_i points out
         pg = np.where((np.abs(x) == bound) & (np.sign(x) == -np.sign(g)), 0.0, g)
         assert np.max(np.abs(pg)) <= cfg.grad_tol
+        assert info.evaluations == len(evaluated)
         assert len(evaluated) <= 1.5 * info.iterations
         assert max(np.max(np.abs(p)) for p in evaluated) <= bound
 
@@ -251,6 +252,19 @@ class TestOptimizeControls:
         assert a.G == b.G
         assert a.iterations_used == b.iterations_used
         assert a.restart_index == b.restart_index
+
+    def test_evaluations_counted(self):
+        # the reported restart's objective evaluations: the start point plus at
+        # least one per iteration, and the same count on a rerun of the seed
+        spec = ChainSpec(n_sites=3)
+        target = TargetGate("NOT", 3)
+        tmpl = ControlSequence.zeros(8, 0.2, 10.0)
+        cfg = ObjectiveConfig(mu=0.2, surrogate="fermi_dirac")
+        opt = OptimizerConfig(max_iters=100, restarts=2, seed=1)
+        a = optimize_controls(spec, target, tmpl, cfg, opt)
+        b = optimize_controls(spec, target, tmpl, cfg, opt)
+        assert a.evaluations >= a.iterations_used + 1
+        assert a.evaluations == b.evaluations
 
     def test_init_amplitude_must_fit_box(self):
         spec = ChainSpec(n_sites=1)
