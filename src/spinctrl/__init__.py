@@ -5,7 +5,7 @@ realize a target gate with high fidelity while keeping the total pulse
 magnitude small, and compares the robustness of penalized and unpenalized
 solutions against a pulse-coupled environment qubit via Choi trace distances.
 Every propagation, with or without the environment qubit, runs through the
-one slice kernel of ``spinctrl.model`` and its ``forward_products``. The
+one slice kernel of ``spinctrl.model``, ``SliceKernel``. The
 fidelity and penalty that ``optimize_controls`` reports are recomputed from
 the best pulses with ``propagate`` and ``penalty``.
 """

@@ -54,6 +54,15 @@ def embed_single_site(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
     return kron(left, op, right)
 
 
+def reinterpret(a: np.ndarray, dtype, shape) -> np.ndarray:
+    """View of the memory of the C-contiguous array ``a`` as ``dtype`` with
+    ``shape``, e.g. a complex (n, d, d) stack as a real (n, d, 2d) one whose
+    columns interleave real and imaginary parts."""
+    if not a.flags.c_contiguous:
+        raise ValueError("reinterpret needs a C-contiguous array")
+    return a.reshape(-1).view(dtype).reshape(shape)
+
+
 def is_hermitian(m: np.ndarray, atol: float = ATOL) -> bool:
     m = np.asarray(m)
     return bool(np.max(np.abs(m - m.conj().T)) < atol)

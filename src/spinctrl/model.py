@@ -1,12 +1,14 @@
 """Heisenberg spin-chain model and its slice kernel.
 
-One kernel returns the eigensystem of every piecewise-constant slice
-Hamiltonian, on the bare chain or on chain + environment qubit
-(``slice_operators``, ``slice_eigensystem``), and ``forward_products`` turns
-it into the cumulative propagators U_j ... U_1, the only place where slice
-propagators are formed or multiplied. ``propagate`` returns the last of them,
-``bloch_trajectories`` reads the state at every slice boundary from them, and
-the pulse objective's gradient is assembled from them.
+One kernel, ``SliceKernel(spec, n)``, owns the arrays of a run of n slices
+on the bare chain or on chain + environment qubit: it allocates them once,
+and each ``run(hx, hy, dt)`` fills them in place with the eigensystem of
+every piecewise-constant slice Hamiltonian and the cumulative propagators
+U_j ... U_1 (its ``forward`` stage is the only place where slice propagators
+are formed or multiplied). ``propagate`` and ``bloch_trajectories`` build a
+kernel per call and read the last propagator or every slice boundary from
+it; the pulse objective keeps one kernel for its whole life, so that its
+evaluations reuse the same memory, and assembles its gradient from it.
 
 The kernel works in the chain's symmetry sectors. The isotropic drift and
 star coupling commute with rotations about z, so a slice with field (hx, hy)
@@ -242,7 +244,7 @@ class SliceOperators:
 
 @functools.lru_cache
 def slice_operators(spec: ChainSpec) -> SliceOperators:
-    """Operators of ``slice_eigensystem`` for ``spec``; the environment qubit
+    """Operators of the ``SliceKernel`` of ``spec``; the environment qubit
     is appended last when ``spec.env_enabled`` is set.
 
     Built once per spec and shared by every caller, so the arrays are
@@ -272,80 +274,122 @@ def slice_operators(spec: ChainSpec) -> SliceOperators:
 
 
 def eigh_stack(h_stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched Hermitian eigendecomposition of a stack of matrices."""
-    sym = (h_stack + h_stack.conj().swapaxes(-1, -2)) / 2.0
-    return np.linalg.eigh(sym)
+    """Batched eigendecomposition of a stack of real symmetric (or Hermitian)
+    matrices; only their lower triangles are read."""
+    return np.linalg.eigh(h_stack)
 
 
-def slice_eigensystem(
-    ops: SliceOperators, hx: np.ndarray, hy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Factored eigensystem (evals, R, phase) of every slice Hamiltonian
-    H_j = drift + hx_j*Sx^1 + hy_j*Sy^1 [+ s_j*star], where
-    s_j = gamma*(|hx_j| + |hy_j|) couples the environment qubit: eigenvalues
-    (n, dim), a real orthogonal R (n, dim, dim) and phases (n, dim), the
-    eigenvectors being V = phase[:, :, None] * R.
+class SliceKernel:
+    """The slice kernel of a chain for ``n`` slices, and the arrays it fills.
 
-    With r = |h_j|, phi = atan2(hy_j, hx_j) and D = diag(exp(-i*phi*m/2)),
-    H_j = D (drift + r*Sx^1 [+ s_j*star]) D^dag. The inner matrix is real and
-    conserves the total Sx, so it is diagonalized sector by sector, with one
-    ``eigh_stack`` call per sector size, and R = basis * blockdiag(W). At
-    r = 0 it commutes with D and phi is taken as 0.
+    The arrays are allocated once, here, and every ``run(hx, hy, dt)``
+    overwrites them in place:
+
+    - ``evals`` (n, dim), ``rot`` (n, dim, dim) real orthogonal and ``phase``
+      (n, dim): the factored eigensystem of every slice Hamiltonian, with
+      eigenvectors V = phase[:, :, None] * rot (see ``diagonalize``);
+    - ``phi`` (n,): the field angle of each slice, 0 where the field is 0;
+    - ``fwd`` (n + 1, dim, dim): entry 0 is the identity and entry j is
+      U_j ... U_2 U_1 (see ``forward``);
+    - ``stage`` (n, 2*dim, dim), real: scratch of the forward stage, whose
+      second real stack of that size is the memory of fwd[1:].
+
+    A caller may use ``stage`` and ``fwd`` as scratch once it has read them,
+    and copies whatever it keeps past the next run.
     """
-    n, dim = hx.size, ops.m.size
-    r = np.hypot(hx, hy)
-    phi = np.where(r > 0.0, np.arctan2(hy, hx), 0.0)
-    s = ops.gamma * (np.abs(hx) + np.abs(hy))
-    evals = np.empty((n, dim))
-    rot = np.empty((n, dim, dim))
-    start = 0
-    for g, (drift, field) in enumerate(zip(ops.drift, ops.field)):
-        count, size = drift.shape[:2]
-        blocks = drift + r[:, None, None, None] * field
-        if ops.star is not None:
-            blocks += s[:, None, None, None] * ops.star[g]
-        lam, w = eigh_stack(blocks)
-        evals[:, start : start + count * size] = lam.reshape(n, count * size)
-        # R's columns of this group: the basis columns of each sector times W.
-        cols = _group_columns(rot, start, count, size)
-        cols[...] = _group_columns(ops.basis, start, count, size) @ w
-        start += count * size
-    return evals, rot, np.exp(-0.5j * phi[:, None] * ops.m)
 
+    def __init__(self, spec: ChainSpec, n: int):
+        self.ops = slice_operators(spec)
+        self.n, self.dim = int(n), self.ops.m.size
+        n, dim = self.n, self.dim
+        self.evals = np.empty((n, dim))
+        self.rot = np.empty((n, dim, dim))
+        self.phi = np.empty(n)
+        self.phase = np.empty((n, dim), dtype=np.complex128)
+        self.fwd = np.empty((n + 1, dim, dim), dtype=np.complex128)
+        self.stage = np.empty((n, 2 * dim, dim))
 
-def forward_products(
-    evals: np.ndarray, rot: np.ndarray, phase: np.ndarray, dt: float
-) -> np.ndarray:
-    """Cumulative propagators of a factored slice eigensystem (see
-    ``slice_eigensystem``), shape (n + 1, dim, dim): entry 0 is the identity
-    and entry j is U_j ... U_2 U_1, where U_j = D_j R_j exp(-i*dt*evals_j) R_j^T
-    D_j^dag with D_j = diag(phase_j), i.e. the elementwise product of
-    phase_k*conj(phase_l) with R cos(dt*evals) R^T - i R sin(dt*evals) R^T."""
-    n, dim = evals.shape
-    trig = np.stack([np.cos(dt * evals), -np.sin(dt * evals)], axis=1)
-    # R cos R^T over -R sin R^T: both real products in one, stacked by rows.
-    parts = (rot[:, None] * trig[:, :, None, :]).reshape(n, 2 * dim, dim) @ rot.swapaxes(-1, -2)
-    props = np.empty((n, dim, dim), dtype=np.complex128)
-    props.real = parts[:, :dim]
-    props.imag = parts[:, dim:]
-    del parts
-    props *= phase[:, :, None]
-    props *= phase.conj()[:, None, :]
-    # Allocated after the real parts are freed, so that no more than two
-    # complex (n, dim, dim) stacks are held at once besides R.
-    fwd = np.empty((n + 1, dim, dim), dtype=np.complex128)
-    fwd[0] = np.eye(dim)
-    for j in range(n):
-        np.matmul(props[j], fwd[j], out=fwd[j + 1])
-    return fwd
+    def run(self, hx: np.ndarray, hy: np.ndarray, dt: float) -> None:
+        """Fill the eigensystem and the cumulative propagators of the slices
+        with fields (hx_j, hy_j) and duration dt."""
+        self.diagonalize(hx, hy)
+        self.forward(dt)
+
+    def diagonalize(self, hx: np.ndarray, hy: np.ndarray) -> None:
+        """Eigensystem of every slice Hamiltonian H_j = drift + hx_j*Sx^1 +
+        hy_j*Sy^1 [+ s_j*star], where s_j = gamma*(|hx_j| + |hy_j|) couples
+        the environment qubit.
+
+        With r = |h_j|, phi = atan2(hy_j, hx_j) and D = diag(exp(-i*phi*m/2)),
+        H_j = D (drift + r*Sx^1 [+ s_j*star]) D^dag. The inner matrix is real
+        and conserves the total Sx, so it is diagonalized sector by sector,
+        with one ``eigh_stack`` call per sector size, and
+        rot = basis * blockdiag(W). At r = 0 it commutes with D and phi is
+        taken as 0.
+        """
+        ops, n = self.ops, self.n
+        if np.shape(hx) != (n,) or np.shape(hy) != (n,):
+            raise ValueError(f"expected {n} field values per axis")
+        r = np.hypot(hx, hy)
+        self.phi[...] = np.where(r > 0.0, np.arctan2(hy, hx), 0.0)
+        np.exp(-0.5j * self.phi[:, None] * ops.m, out=self.phase)
+        s = ops.gamma * (np.abs(hx) + np.abs(hy))
+        # Each group's blocks and star term are built in stage, which is free
+        # until the forward stage and holds two stacks of n*dim^2 entries, and
+        # one group has at most n*dim^2. The blocks are exactly symmetric, as
+        # drift, field and star are, so eigh_stack may read one triangle.
+        scratch = self.stage.reshape(-1)
+        start = 0
+        for g, (drift, field) in enumerate(zip(ops.drift, ops.field)):
+            count, size = drift.shape[:2]
+            shape = (n, count, size, size)
+            blocks, coupling = scratch[: 2 * math.prod(shape)].reshape(2, *shape)
+            np.multiply(r[:, None, None, None], field, out=blocks)
+            blocks += drift
+            if ops.star is not None:
+                np.multiply(s[:, None, None, None], ops.star[g], out=coupling)
+                blocks += coupling
+            lam, w = eigh_stack(blocks)
+            self.evals[:, start : start + count * size] = lam.reshape(n, count * size)
+            # rot's columns of this group: the basis columns of each sector times W.
+            np.matmul(
+                _group_columns(ops.basis, start, count, size),
+                w,
+                out=_group_columns(self.rot, start, count, size),
+            )
+            start += count * size
+
+    def forward(self, dt: float) -> None:
+        """Cumulative propagators of the eigensystem held in ``evals``, ``rot``
+        and ``phase``: U_j = D_j R_j exp(-i*dt*evals_j) R_j^T D_j^dag with
+        D_j = diag(phase_j), i.e. the elementwise product of
+        phase_k*conj(phase_l) with R cos(dt*evals) R^T - i R sin(dt*evals) R^T.
+        This is the only place where slice propagators are formed or
+        multiplied."""
+        n, dim, rot, fwd = self.n, self.dim, self.rot, self.fwd
+        trig = np.stack([np.cos(dt * self.evals), -np.sin(dt * self.evals)], axis=1)
+        # R cos R^T over -R sin R^T: both real products in one, stacked by rows,
+        # written into fwd[1:] until the propagators are assembled in stage.
+        np.multiply(rot[:, None], trig[:, :, None, :], out=self.stage.reshape(n, 2, dim, dim))
+        parts = linalg.reinterpret(fwd[1:], np.float64, (n, 2 * dim, dim))
+        np.matmul(self.stage, rot.swapaxes(-1, -2), out=parts)
+        props = linalg.reinterpret(self.stage, np.complex128, (n, dim, dim))
+        props.real = parts[:, :dim]
+        props.imag = parts[:, dim:]
+        props *= self.phase[:, :, None]
+        props *= self.phase.conj()[:, None, :]
+        fwd[0] = np.eye(dim)
+        for j in range(n):
+            np.matmul(props[j], fwd[j], out=fwd[j + 1])
 
 
 def propagate(spec: ChainSpec, seq: ControlSequence) -> np.ndarray:
     """Total unitary generated by the control sequence, on chain + environment
     qubit when ``spec.env_enabled`` is set and on the bare chain otherwise."""
-    eig = slice_eigensystem(slice_operators(spec), seq.hx, seq.hy)
-    # A copy, so that the caller does not keep the whole stack alive.
-    return forward_products(*eig, seq.dt)[-1].copy()
+    kernel = SliceKernel(spec, seq.n)
+    kernel.run(seq.hx, seq.hy, seq.dt)
+    # A copy, so that the caller does not keep the kernel's arrays alive.
+    return kernel.fwd[-1].copy()
 
 
 def propagate_with_env(spec: ChainSpec, seq: ControlSequence) -> np.ndarray:
@@ -372,9 +416,10 @@ def bloch_trajectories(
         )
     if spec.env_enabled:
         raise ValueError("Bloch trajectories are defined on the bare chain only")
-    eig = slice_eigensystem(slice_operators(spec), seq.hx, seq.hy)
+    kernel = SliceKernel(spec, seq.n)
+    kernel.run(seq.hx, seq.hy, seq.dt)
     # psi[j]: the state after the first j slices.
-    psi = forward_products(*eig, seq.dt)[:, :, int(label, 2)]
+    psi = kernel.fwd[:, :, int(label, 2)]
     # Qubit q (1-based) is bit n_sites - q of basis index k: sign[k, q] is
     # its sz eigenvalue and flip[k, q] the index with that bit toggled, so
     # sx|k> = |flip>, sy|k> = i*sign|flip> and, with pair = conj(psi_k)*psi_flip,

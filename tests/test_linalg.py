@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinctrl import linalg
-from spinctrl.model import eigh_stack, forward_products
+from spinctrl.model import ChainSpec, SliceKernel, eigh_stack
 
 
 def random_hermitian(rng, dim):
@@ -24,9 +24,19 @@ def random_phase(rng, dim):
 def expm_minus_i(s, phase, t):
     """exp(-i*t*H) for H = D S D^dag with S real symmetric and D = diag(phase),
     as the slice kernel computes it for a single slice: S through eigh_stack,
-    then forward_products of the factored eigensystem."""
-    evals, rot = eigh_stack(np.asarray(s, dtype=np.float64)[None])
-    return forward_products(evals, rot, np.asarray(phase)[None], t)[1]
+    then the forward stage of a one-slice kernel holding that eigensystem. A
+    1x1 S is padded with a decoupled zero block to the kernel's smallest
+    size, 2x2, whose top-left entry is then exp(-i*t*H)."""
+    dim = len(phase)
+    size = max(dim, 2)
+    padded = np.zeros((size, size))
+    padded[:dim, :dim] = s
+    kernel = SliceKernel(ChainSpec(n_sites=size.bit_length() - 1), 1)
+    kernel.evals[...], kernel.rot[...] = eigh_stack(padded[None])
+    kernel.phase[...] = 1.0
+    kernel.phase[0, :dim] = phase
+    kernel.forward(t)
+    return kernel.fwd[1, :dim, :dim]
 
 
 def random_density(rng, dim):
@@ -100,7 +110,7 @@ class TestEmbedSingleSite:
 
 
 class TestExpmMinusI:
-    """exp(-i*t*H) through eigh_stack and forward_products, for H = D S D^dag
+    """exp(-i*t*H) through eigh_stack and SliceKernel.forward, for H = D S D^dag
     with S real symmetric and D a diagonal phase: the slice kernel's form."""
 
     def test_pauli_rotation(self):

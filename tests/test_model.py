@@ -15,8 +15,8 @@ from spinctrl.model import (
     bloch_trajectories,
     drift_hamiltonian,
     propagate,
+    SliceKernel,
     propagate_with_env,
-    slice_eigensystem,
     slice_operators,
     target_unitary,
 )
@@ -28,10 +28,16 @@ def random_seq(rng, n, dt=0.2, bound=10.0, scale=1.0):
     )
 
 
+def kernel_eigensystem(spec, hx, hy):
+    """The kernel's eigenvalues and eigenvectors V = phase * rot of every slice."""
+    kernel = SliceKernel(spec, len(hx))
+    kernel.diagonalize(np.asarray(hx, dtype=np.float64), np.asarray(hy, dtype=np.float64))
+    return kernel.evals, kernel.phase[:, :, None] * kernel.rot
+
+
 def kernel_hamiltonians(spec, hx, hy):
     """The slice Hamiltonians V diag(λ) V^† rebuilt from the kernel's eigensystems."""
-    evals, rot, phase = slice_eigensystem(slice_operators(spec), np.asarray(hx), np.asarray(hy))
-    evecs = phase[:, :, None] * rot
+    evals, evecs = kernel_eigensystem(spec, hx, hy)
     return (evecs * evals[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
 
 
@@ -160,8 +166,7 @@ class TestSliceEigensystem:
     def test_rebuilds_dense_oracle(self, n_sites, env, gamma, coupling, pulses):
         hx, hy = np.array(EDGE_SLICES + pulses).T
         spec = ChainSpec(n_sites=n_sites, coupling=coupling, env_enabled=env, gamma=gamma)
-        evals, rot, phase = slice_eigensystem(slice_operators(spec), hx, hy)
-        evecs = phase[:, :, None] * rot
+        evals, evecs = kernel_eigensystem(spec, hx, hy)
         rebuilt = (evecs * evals[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
         assert np.max(np.abs(rebuilt - dense_slice_hamiltonians(spec, hx, hy))) < 1e-12
         gram = evecs.conj().swapaxes(-1, -2) @ evecs
@@ -230,8 +235,10 @@ class TestEnvHamiltonian:
         ops = slice_operators(ChainSpec(n_sites=2, gamma=0.3))
         assert ops.star is None
         assert ops.basis.shape == (4, 4) and sum(b.shape[0] * b.shape[1] for b in ops.drift) == 4
-        evals, rot, phase = slice_eigensystem(ops, np.array([1.0]), np.array([0.0]))
-        assert evals.shape == (1, 4) and rot.shape == (1, 4, 4) and phase.shape == (1, 4)
+        kernel = SliceKernel(ChainSpec(n_sites=2, gamma=0.3), 1)
+        kernel.run(np.array([1.0]), np.array([0.0]), 0.2)
+        assert kernel.evals.shape == (1, 4) and kernel.rot.shape == (1, 4, 4)
+        assert kernel.phase.shape == (1, 4) and kernel.fwd.shape == (2, 4, 4)
 
     def test_zero_pulses_decouple(self):
         spec = ChainSpec(n_sites=2, env_enabled=True, gamma=0.3)
@@ -290,6 +297,19 @@ class TestPropagate:
         for h in dense_slice_hamiltonians(spec, seq.hx, seq.hy)[::-1]:
             u_rev = scipy.linalg.expm(1j * seq.dt * h) @ u_rev
         assert np.max(np.abs(u_rev @ u - np.eye(4))) < 1e-8
+
+    @pytest.mark.parametrize("n_sites", [3, 4])
+    def test_repeated_calls_are_independent(self, n_sites):
+        # each call returns its own array, and a repeated call the same bits
+        rng = np.random.default_rng(41)
+        spec = ChainSpec(n_sites=n_sites)
+        seq1, seq2 = random_seq(rng, 12), random_seq(rng, 12)
+        u1 = propagate(spec, seq1)
+        kept = u1.copy()
+        u2 = propagate(spec, seq2)
+        assert np.array_equal(propagate(spec, seq1), kept)
+        assert np.array_equal(propagate(spec, seq2), u2)
+        assert np.array_equal(u1, kept) and not np.array_equal(u1, u2)
 
 
 class TestPropagateWithEnv:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from spinctrl.objective import (
     surrogate_abs,
     surrogate_abs_derivative,
 )
+from spinctrl.optimizer import OptimizerConfig, bfgs_minimize
 
 
 def haar_unitary(rng, dim):
@@ -230,6 +232,25 @@ class TestGradient:
         (ChainSpec(n_sites=2), TargetGate("NOT", 2), np.array([0.0, 0.0, 1e-8, 0.0, 0.0, 0.0])),
         "signum",
     )
+    # Single-axis fields (phi = 0, pi/2, pi, -pi/2) and fields of exactly 0.0
+    # and -0.0, where phi is taken as 0: the control contraction reads phi
+    # through cos(phi) and sin(phi).
+    @example(
+        (
+            ChainSpec(n_sites=4),
+            TargetGate("SWAP", 4),
+            np.array([1.3, 0.0, -0.7, 0.0, 0.0, -0.0, 0.0, 0.9, 0.0, -1.1, 0.0, -0.0]),
+        ),
+        "fermi_dirac",
+    )
+    @example(
+        (
+            ChainSpec(n_sites=4),
+            TargetGate("SWAP", 4),
+            np.array([-0.0, 2.0, 0.0, -1.5, 0.0, -0.0, -0.0, -0.0]),
+        ),
+        "signum",
+    )
     def test_matches_dense_reference(self, case, surrogate):
         spec, target, x = case
         cfg = ObjectiveConfig(mu=0.4, surrogate=surrogate)
@@ -305,3 +326,55 @@ class TestGradient:
         assert np.isclose(value_and_grad(spec, seq, target, cfg)[0], reported, atol=1e-14)
         smoothed = np.sum(surrogate_abs(seq.pulse_vector(), cfg)) / (2 * seq.n * seq.bound)
         assert np.isclose(penalty(seq), smoothed, atol=1e-14)
+
+
+class TestReuse:
+    """An objective keeps its arrays across evaluations; every result must
+    equal a fresh objective's at the same point, bit for bit."""
+
+    @pytest.mark.parametrize("n_sites, kind, n", [(3, "NOT", 64), (4, "SWAP", 32)])
+    def test_matches_fresh_objective(self, n_sites, kind, n):
+        spec, target = ChainSpec(n_sites=n_sites), TargetGate(kind, n_sites)
+        cfg = ObjectiveConfig(mu=0.4)
+
+        def objective():
+            return PulseObjective(spec, target, n, 0.2, 10.0, cfg)
+
+        x1, x2 = np.random.default_rng(n_sites).uniform(-1.0, 1.0, (2, 2 * n))
+        po = objective()
+        results = [(x, po.value_and_grad(x)) for x in (x1, x2, x1)]
+        kept = [grad.copy() for _, (_, grad) in results]
+        # a restart's worth of evaluations at other points
+        _, info = bfgs_minimize(po.value_and_grad, x2, 10.0, OptimizerConfig(max_iters=150))
+        assert info.evaluations > 100
+        results.append((x2, po.value_and_grad(x2)))
+        for x, (value, grad) in results:
+            ref_value, ref_grad = objective().value_and_grad(x)
+            assert value == ref_value
+            assert np.array_equal(grad, ref_grad)
+        # returned gradients are the caller's, not views of the objective's arrays
+        for (_, (_, grad)), copy in zip(results, kept):
+            assert np.array_equal(grad, copy)
+
+
+def test_warm_evaluation_allocates_no_stack():
+    # One complex (n, 16, 16) stack is 1.05 MB at N=4, n=256; a warm
+    # evaluation writes into the arrays its objective owns and allocates
+    # less than 1.5 MB in all (9.1 MB when every stage allocated its own).
+    n = 256
+    po = PulseObjective(
+        ChainSpec(n_sites=4), TargetGate("SWAP", 4), n, 0.2, 10.0, ObjectiveConfig(mu=0.4)
+    )
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, 2 * n)
+    po.value_and_grad(x)
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        po.value_and_grad(x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak < 1.5e6
