@@ -323,9 +323,10 @@ class SliceKernel:
         With r = |h_j|, phi = atan2(hy_j, hx_j) and D = diag(exp(-i*phi*m/2)),
         H_j = D (drift + r*Sx^1 [+ s_j*star]) D^dag. The inner matrix is real
         and conserves the total Sx, so it is diagonalized sector by sector,
-        with one ``eigh_stack`` call per sector size, and
-        rot = basis * blockdiag(W). At r = 0 it commutes with D and phi is
-        taken as 0.
+        with one ``eigh_stack`` call per sector size above 1, and
+        rot = basis * blockdiag(W). A 1x1 sector (all spins along +x or -x)
+        is its own eigensystem. At r = 0 the inner matrix commutes with D and
+        phi is taken as 0.
         """
         ops, n = self.ops, self.n
         if np.shape(hx) != (n,) or np.shape(hy) != (n,):
@@ -349,15 +350,21 @@ class SliceKernel:
             if ops.star is not None:
                 np.multiply(s[:, None, None, None], ops.star[g], out=coupling)
                 blocks += coupling
-            lam, w = eigh_stack(blocks)
-            self.evals[:, start : start + count * size] = lam.reshape(n, count * size)
-            # rot's columns of this group: the basis columns of each sector times W.
-            np.matmul(
-                _group_columns(ops.basis, start, count, size),
-                w,
-                out=_group_columns(self.rot, start, count, size),
-            )
-            start += count * size
+            stop = start + count * size
+            if size == 1:
+                # A 1x1 block is its own eigenvalue, with eigenvector 1.
+                self.evals[:, start:stop] = blocks.reshape(n, count)
+                self.rot[:, :, start:stop] = ops.basis[:, start:stop]
+            else:
+                lam, w = eigh_stack(blocks)
+                self.evals[:, start:stop] = lam.reshape(n, count * size)
+                # rot's columns of this group: the basis columns of each sector times W.
+                np.matmul(
+                    _group_columns(ops.basis, start, count, size),
+                    w,
+                    out=_group_columns(self.rot, start, count, size),
+                )
+            start = stop
 
     def forward(self, dt: float) -> None:
         """Cumulative propagators of the eigensystem held in ``evals``, ``rot``

@@ -109,6 +109,35 @@ def _wolfe_search(vag, point, p, f0, g0, a_max, max_trials=_MAX_LINE_SEARCH_TRIA
     return None
 
 
+def _set_identity(hmat: np.ndarray) -> None:
+    """Overwrite the square matrix ``hmat`` with the identity."""
+    hmat.fill(0.0)
+    np.fill_diagonal(hmat, 1.0)
+
+
+def _bfgs_update(hmat, s, y, sy, work, cols, rows) -> None:
+    """The BFGS update of the inverse Hessian, in place:
+    H <- (I - rho*s*y^T) H (I - rho*y*s^T) + rho*s*s^T with rho = 1/sy
+    (Nocedal and Wright, Numerical Optimization, 2nd ed., 2006, eq. 6.17).
+
+    With hy = H*y and c = rho^2*(sy + y^T*hy) this equals
+    H + s*v^T + v*s^T with v = (c/2)*s - rho*hy, formed as one product of
+    the (dim, 2) ``cols`` = [s, v] and the (2, dim) ``rows`` = [v; s] into
+    ``work`` (dim, dim). The two terms are each other's transpose, so H stays
+    symmetric to rounding.
+    """
+    hy = hmat @ y
+    rho = 1.0 / sy
+    c = rho * rho * (sy + float(y @ hy))
+    cols[:, 0] = s
+    np.multiply(0.5 * c, s, out=cols[:, 1])
+    cols[:, 1] -= rho * hy
+    rows[0] = cols[:, 1]
+    rows[1] = s
+    np.matmul(cols, rows, out=work)
+    hmat += work
+
+
 def bfgs_minimize(
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     x0: np.ndarray,
@@ -125,8 +154,10 @@ def bfgs_minimize(
     The step -H·pg, held components zeroed, ends at the nearest bound at the
     latest, so every evaluated point lies in the box. The BFGS update ignores
     held variables; H is reset to identity only when s·y <= 1e-12 or descent
-    is lost. A failed line search ends the run at the best point so far,
-    flagged in the returned info.
+    is lost. H and the scratch of its update are allocated once per run, and
+    the update is one in-place rank-2 product (``_bfgs_update``) that keeps H
+    symmetric to rounding. A failed line search ends the run at the best
+    point so far, flagged in the returned info.
     """
     evaluations = 0
 
@@ -138,7 +169,9 @@ def bfgs_minimize(
     x = np.clip(np.asarray(x0, dtype=np.float64), -bound, bound)
     f, g = counted(x)
     dim = x.size
-    hmat = np.eye(dim)
+    hmat = np.empty((dim, dim))
+    _set_identity(hmat)
+    work, cols, rows = np.empty((dim, dim)), np.empty((dim, 2)), np.empty((2, dim))
     fresh_hessian = True
     trace = [f]
     ls_failed = False
@@ -154,7 +187,7 @@ def bfgs_minimize(
         p[on_bound & ((x * g < 0.0) | (x * p > 0.0))] = 0.0
         if float(g @ p) >= 0.0:
             # Numerically lost descent; restart from steepest descent.
-            hmat = np.eye(dim)
+            _set_identity(hmat)
             fresh_hessian = True
             p = -pg
         held = on_bound & (x * p >= 0.0)
@@ -177,16 +210,13 @@ def bfgs_minimize(
         y = np.where(held, 0.0, g_new - g)
         sy = float(s @ y)
         if sy <= _CURVATURE_EPS:
-            hmat = np.eye(dim)
+            _set_identity(hmat)
             fresh_hessian = True
         else:
             if fresh_hessian:
                 hmat *= sy / float(y @ y)
                 fresh_hessian = False
-            hy = hmat @ y
-            rho = 1.0 / sy
-            hmat += (rho * rho * (sy + float(y @ hy))) * np.outer(s, s)
-            hmat -= rho * (np.outer(hy, s) + np.outer(s, hy))
+            _bfgs_update(hmat, s, y, sy, work, cols, rows)
 
         x, f, g = x_new, f_new, g_new
         trace.append(f)

@@ -204,6 +204,27 @@ class TestSliceEigensystem:
         assert np.max(np.abs(inner[sector[:, None] != sector[None, :]])) < 1e-14
 
     @pytest.mark.parametrize("env", [False, True])
+    def test_size_one_sectors_are_their_own_eigensystem(self, env):
+        # the 1x1 sectors (all spins along +x or -x) come first; their
+        # eigenvalues are the block entries r*field + drift [+ s*star] and
+        # their rot columns the basis columns, bit for bit
+        rng = np.random.default_rng(5)
+        hx, hy = np.array(EDGE_SLICES + rng.uniform(-3.0, 3.0, (6, 2)).tolist()).T
+        for n_sites in range(1, 5):
+            spec = ChainSpec(n_sites=n_sites, env_enabled=env, gamma=0.3)
+            ops = slice_operators(spec)
+            count, size = ops.drift[0].shape[:2]
+            assert (count, size) == (2, 1)
+            entries = np.hypot(hx, hy)[:, None] * ops.field[0][:, 0, 0] + ops.drift[0][:, 0, 0]
+            if env:
+                entries += 0.3 * (np.abs(hx) + np.abs(hy))[:, None] * ops.star[0][:, 0, 0]
+            kernel = SliceKernel(spec, len(hx))
+            kernel.diagonalize(hx, hy)
+            assert np.array_equal(kernel.evals[:, :count], entries)
+            columns = np.broadcast_to(ops.basis[:, :count], (len(hx), *ops.basis[:, :count].shape))
+            assert np.array_equal(kernel.rot[:, :, :count], columns)
+
+    @pytest.mark.parametrize("env", [False, True])
     def test_operators_built_once_and_read_only(self, env):
         ops = slice_operators(ChainSpec(n_sites=3, env_enabled=env))
         assert slice_operators(ChainSpec(n_sites=3, env_enabled=env)) is ops

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -13,6 +15,7 @@ from spinctrl.objective import (
 )
 from spinctrl.optimizer import (
     OptimizerConfig,
+    _bfgs_update,
     bfgs_minimize,
     optimize_controls,
 )
@@ -161,6 +164,50 @@ class TestBfgsMinimize:
         assert info.line_search_failed
         assert not info.converged
         assert f(x) <= 0.7  # never worse than the start
+
+    @pytest.mark.parametrize("dim", [7, 64])
+    def test_update_is_bfgs_inverse_update(self, dim):
+        # oracle: the product form (I - rho*s*y^T) H (I - rho*y*s^T) + rho*s*s^T
+        rng = np.random.default_rng(dim)
+        m = rng.normal(size=(dim, dim))
+        hmat = m @ m.T + np.eye(dim)
+        hmat = (hmat + hmat.T) / 2.0
+        s, y = rng.normal(size=dim), rng.normal(size=dim)
+        if s @ y < 0.0:
+            y = -y
+        sy = float(s @ y)
+        rho = 1.0 / sy
+        left = np.eye(dim) - rho * np.outer(s, y)
+        expected = left @ hmat @ left.T + rho * np.outer(s, s)
+        scratch = np.empty((dim, dim)), np.empty((dim, 2)), np.empty((2, dim))
+        _bfgs_update(hmat, s, y, sy, *scratch)
+        assert np.max(np.abs(hmat - expected)) <= 1e-12 * np.max(np.abs(expected))
+        # secant equation H_new y = s
+        assert np.max(np.abs(hmat @ y - s)) <= 1e-10 * np.max(np.abs(s))
+        assert np.max(np.abs(hmat - hmat.T)) <= 1e-14 * np.max(np.abs(hmat))
+
+    def test_run_allocates_one_scratch_matrix(self):
+        # a convex quadratic at dim 512: the run's memory peak is H and the
+        # update's scratch, not a fresh (dim, dim) array per iteration
+        dim = 512
+        rng = np.random.default_rng(0)
+        diag = np.linspace(1.0, 100.0, dim)
+        c = rng.normal(size=dim)
+
+        def vag(x):
+            d = x - c
+            return float(0.5 * d @ (diag * d)), diag * d
+
+        x0 = np.zeros(dim)
+        cfg = OptimizerConfig(max_iters=30, grad_tol=1e-12)
+        tracemalloc.start()
+        try:
+            _, info = bfgs_minimize(vag, x0, 1e3, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.iterations == 30
+        assert peak < 2.5 * dim * dim * 8
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
