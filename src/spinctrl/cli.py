@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from dataclasses import MISSING, Field, asdict, dataclass, field, fields
+from dataclasses import MISSING, Field, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,14 @@ class ExperimentConfig:
             self.optimizer_config()
         except ValueError as e:
             raise ConfigError(str(e)) from None
+        # propagate runs a stretch of equal slices as one slice of up to
+        # n_pulses*dt, whose phases (duration times eigenvalue) must be finite.
+        env_chain = replace(self.chain(), env_enabled=True)
+        if not math.isfinite(self.n_pulses * self.dt * env_chain.norm_bound(self.bound)):
+            raise ConfigError(
+                "n_pulses * dt * (bound on the slice Hamiltonian's norm) is not finite; "
+                "reduce dt, bound or gamma"
+            )
 
     def chain(self) -> ChainSpec:
         return ChainSpec(n_sites=TARGETS[self.target][1], gamma=self.gamma)

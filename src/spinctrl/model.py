@@ -7,8 +7,10 @@ every piecewise-constant slice Hamiltonian and the cumulative propagators
 U_j ... U_1 (its ``forward`` stage is the only place where slice propagators
 are formed or multiplied). ``propagate`` and ``bloch_trajectories`` build a
 kernel per call and read the last propagator or every slice boundary from
-it; the pulse objective keeps one kernel for its whole life, so that its
-evaluations reuse the same memory, and assembles its gradient from it.
+it; ``propagate`` needs no inner boundary, so it runs each run of equal
+slices as one slice of the run's duration. The pulse objective keeps one
+kernel of every slice for its whole life, so that its evaluations reuse the
+same memory, and assembles its gradient from it.
 
 The kernel works in the chain's symmetry sectors. The isotropic drift and
 star coupling commute with rotations about z, so a slice with field (hx, hy)
@@ -67,6 +69,17 @@ class ChainSpec:
     @property
     def dim(self) -> int:
         return 2**self.n_sites
+
+    def norm_bound(self, amplitude: float) -> float:
+        """An upper bound on the norm of every slice Hamiltonian whose fields
+        have |hx|, |hy| <= amplitude: 3 per exchange pair of the drift,
+        |h| <= sqrt(2)*amplitude for the field on site 1 and, with the
+        environment qubit, s <= 2*gamma*amplitude times 3 per star pair."""
+        n = self.n_sites
+        norm = 3.0 * (n - 1) * self.coupling + math.sqrt(2.0) * amplitude
+        if self.env_enabled:
+            norm += 6.0 * n * self.gamma * amplitude
+        return norm
 
 
 @dataclass(frozen=True)
@@ -309,9 +322,9 @@ class SliceKernel:
         self.fwd = np.empty((n + 1, dim, dim), dtype=np.complex128)
         self.stage = np.empty((n, 2 * dim, dim))
 
-    def run(self, hx: np.ndarray, hy: np.ndarray, dt: float) -> None:
+    def run(self, hx: np.ndarray, hy: np.ndarray, dt: float | np.ndarray) -> None:
         """Fill the eigensystem and the cumulative propagators of the slices
-        with fields (hx_j, hy_j) and duration dt."""
+        with fields (hx_j, hy_j) and duration dt (see ``forward``)."""
         self.diagonalize(hx, hy)
         self.forward(dt)
 
@@ -366,11 +379,13 @@ class SliceKernel:
                 )
             start = stop
 
-    def forward(self, dt: float) -> None:
+    def forward(self, dt: float | np.ndarray) -> None:
         """Cumulative propagators of the eigensystem held in ``evals``, ``rot``
         and ``phase``: U_j = D_j R_j exp(-i*dt*evals_j) R_j^T D_j^dag with
         D_j = diag(phase_j), i.e. the elementwise product of
         phase_k*conj(phase_l) with R cos(dt*evals) R^T - i R sin(dt*evals) R^T.
+        ``dt`` is one duration for every slice, or an (n, 1) column of
+        per-slice durations broadcast against ``evals``.
         This is the only place where slice propagators are formed or
         multiplied."""
         n, dim, rot, fwd = self.n, self.dim, self.rot, self.fwd
@@ -392,9 +407,17 @@ class SliceKernel:
 
 def propagate(spec: ChainSpec, seq: ControlSequence) -> np.ndarray:
     """Total unitary generated by the control sequence, on chain + environment
-    qubit when ``spec.env_enabled`` is set and on the bare chain otherwise."""
-    kernel = SliceKernel(spec, seq.n)
-    kernel.run(seq.hx, seq.hy, seq.dt)
+    qubit when ``spec.env_enabled`` is set and on the bare chain otherwise.
+
+    Equal fields give equal slice Hamiltonians, the environment coupling
+    s_j = gamma*(|hx_j| + |hy_j|) included, so a run of k consecutive slices
+    with equal (hx, hy) is exp(-i*k*dt*H): it is propagated as one slice of
+    duration k*dt. (0.0 and -0.0 count as equal: they give the same H.)"""
+    hx, hy = seq.hx, seq.hy
+    starts = np.flatnonzero(np.r_[True, (hx[1:] != hx[:-1]) | (hy[1:] != hy[:-1])])
+    lengths = np.diff(np.r_[starts, seq.n])
+    kernel = SliceKernel(spec, starts.size)
+    kernel.run(hx[starts], hy[starts], seq.dt * lengths[:, None])
     # A copy, so that the caller does not keep the kernel's arrays alive.
     return kernel.fwd[-1].copy()
 

@@ -236,12 +236,22 @@ class TestChoiInvariants:
     @given(
         st.integers(1, 4),
         st.sampled_from([0.0, 0.05, 0.3]),
-        st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=1, max_size=6),
+        # (slice, repeats): exact zeros and repeated slices make runs of equal slices
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.just((0.0, 0.0)), st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+                ),
+                st.integers(1, 4),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
         st.sampled_from([1e-4, 1e-7, 1e-10]),
         st.integers(0, 2**32 - 1),
     )
-    def test_dense_invariants_and_distances(self, n_sites, gamma, pulses, eps, seed):
-        hx, hy = np.array(pulses).T
+    def test_dense_invariants_and_distances(self, n_sites, gamma, runs, eps, seed):
+        hx, hy = np.array([pulse for pulse, repeats in runs for _ in range(repeats)]).T
         seq = ControlSequence(hx=hx, hy=hy, dt=0.2, bound=10.0)
         u = propagate(ChainSpec(n_sites=n_sites), seq)
         bare = choi_of_unitary(u)

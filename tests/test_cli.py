@@ -218,11 +218,17 @@ class TestRobustnessCommand:
 NUMERIC_FIELDS = [f.name for f in fields(ExperimentConfig) if f.metadata["kind"] in (int, float)]
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+NON_FINITE_CASES = [
+    (command, name, value)
+    for command, name in [("run", name) for name in NUMERIC_FIELDS]
+    + [("robustness", name) for name in NUMERIC_FIELDS if name not in _RUN_ONLY]
+    for value in ("nan", "inf", "-inf")
+    # A finite dt whose slice phases overflow: n_pulses * dt is already inf.
+] + [("run", "dt", "1e308"), ("robustness", "dt", "1e308")]
+
+
 @pytest.mark.parametrize(
-    "command,name",
-    [("run", name) for name in NUMERIC_FIELDS]
-    + [("robustness", name) for name in NUMERIC_FIELDS if name not in _RUN_ONLY],
+    "command,name,value", NON_FINITE_CASES, ids=["-".join(case) for case in NON_FINITE_CASES]
 )
 def test_non_finite_numeric_flag_exits_2_without_files(tmp_path, command, name, value):
     out = tmp_path / "out"

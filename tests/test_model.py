@@ -118,6 +118,18 @@ class TestSpecs:
         assert np.array_equal(back.hx, seq.hx)
         assert np.array_equal(back.hy, seq.hy)
 
+    @pytest.mark.parametrize("env", [False, True])
+    def test_norm_bound_covers_slice_hamiltonians(self, env):
+        # the largest |eigenvalue| of the dense oracle at the box's corners,
+        # its edge midpoints and random fields stays within the bound
+        rng = np.random.default_rng(9)
+        fields = np.array([(2.0, 2.0), (-2.0, 2.0), (2.0, 0.0), (0.0, -2.0)])
+        fields = np.vstack([fields, rng.uniform(-2.0, 2.0, (8, 2))])
+        for n_sites in range(1, 5):
+            spec = ChainSpec(n_sites=n_sites, coupling=1.5, env_enabled=env, gamma=0.3)
+            h = dense_slice_hamiltonians(spec, fields[:, 0], fields[:, 1])
+            assert np.max(np.abs(np.linalg.eigvalsh(h))) <= spec.norm_bound(2.0) + 1e-12
+
     def test_target_validation(self):
         with pytest.raises(ValueError):
             TargetGate("CNOT", 2)
@@ -331,6 +343,49 @@ class TestPropagate:
         assert np.array_equal(propagate(spec, seq1), kept)
         assert np.array_equal(propagate(spec, seq2), u2)
         assert np.array_equal(u1, kept) and not np.array_equal(u1, u2)
+
+
+    @pytest.mark.parametrize("env,gamma", [(False, 0.0), (True, 0.0), (True, 0.1)])
+    def test_runs_match_slice_by_slice(self, env, gamma):
+        # propagate runs each stretch of equal slices as one slice; the
+        # kernel over every slice is the reference
+        rng = np.random.default_rng(17)
+        a, b = rng.uniform(-3.0, 3.0, (2, 2))
+        sequences = [
+            [(0.0, 0.0)] * 5 + [tuple(a)] + [(0.0, -0.0)] * 3 + [tuple(b)],  # zero runs
+            [tuple(a)] * 4 + [tuple(b)] * 3 + [tuple(a)] * 2 + [(a[0], 0.0)] * 3,  # repeats
+            [tuple(b)] * 12,  # one run
+        ]
+        for n_sites in range(1, 5):
+            spec = ChainSpec(n_sites=n_sites, env_enabled=env, gamma=gamma)
+            for pulses in sequences:
+                hx, hy = np.array(pulses).T
+                kernel = SliceKernel(spec, len(hx))
+                kernel.run(hx, hy, 0.2)
+                u = propagate(spec, ControlSequence(hx=hx, hy=hy, dt=0.2, bound=5.0))
+                assert np.max(np.abs(u - kernel.fwd[-1])) < 1e-12
+
+    @pytest.mark.parametrize("n_sites,env", [(1, False), (4, False), (4, True)])
+    def test_zero_run_is_one_slice_and_unitary(self, n_sites, env):
+        # 256 zero slices are propagated as one slice of duration 256*dt
+        spec = ChainSpec(n_sites=n_sites, env_enabled=env, gamma=0.1)
+        u = propagate(spec, ControlSequence.zeros(256, 0.2, 5.0))
+        assert np.array_equal(u, propagate(spec, ControlSequence.zeros(1, 256 * 0.2, 5.0)))
+        assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-12
+
+    @pytest.mark.parametrize("n_sites,env", [(3, False), (4, False), (4, True)])
+    def test_no_equal_neighbours_match_unmerged_bits(self, n_sites, env):
+        # without equal neighbours propagate is the kernel over every slice,
+        # and a per-slice column of durations that are all dt is dt itself
+        rng = np.random.default_rng(23)
+        seq = random_seq(rng, 24)
+        spec = ChainSpec(n_sites=n_sites, env_enabled=env, gamma=0.1)
+        kernel = SliceKernel(spec, seq.n)
+        kernel.run(seq.hx, seq.hy, seq.dt)
+        assert np.array_equal(propagate(spec, seq), kernel.fwd[-1])
+        scalar = kernel.fwd.copy()
+        kernel.forward(np.full((seq.n, 1), seq.dt))
+        assert np.array_equal(kernel.fwd, scalar)
 
 
 class TestPropagateWithEnv:
