@@ -27,6 +27,8 @@ check determinism "result.json pulses.csv trajectories.csv" \
   run --target not3 --n-pulses 8 --restarts 1 --seed 1
 check bounded "result.json pulses.csv" \
   run --target not3 --n-pulses 8 --bound 2 --mu 0.9 --restarts 1 --seed 1
+check tight "result.json pulses.csv" \
+  run --target not3 --n-pulses 8 --bound 0.3 --restarts 1 --seed 1
 check robustness "robustness.json" \
   robustness --target not3 --n-pulses 8 --restarts 1 --seed 1
 check robustness4 "robustness.json" \

@@ -23,7 +23,6 @@ from .model import (
     ControlSequence,
     TargetGate,
     bloch_trajectories,
-    drift_hamiltonian,
     propagate,
     propagate_with_env,
     target_unitary,
@@ -60,7 +59,6 @@ __all__ = [
     "choi_distance",
     "choi_of_env_channel",
     "choi_of_unitary",
-    "drift_hamiltonian",
     "fidelity",
     "optimize_controls",
     "penalty",

@@ -49,16 +49,17 @@ class ChoiMatrix:
         return self.factor @ self.factor.conj().T
 
 
-def choi_of_unitary(u: np.ndarray, atol: float = 1e-8) -> ChoiMatrix:
+def choi_of_unitary(u: np.ndarray) -> ChoiMatrix:
     """Choi state of the unitary channel rho -> U rho U^dag.
 
     Rank one: its factor is the normalized vector with components U[a, i] at
-    position (a, i), i.e. (1/sqrt(n)) sum_i U|i> ⊗ |i>.
+    position (a, i), i.e. (1/sqrt(n)) sum_i U|i> ⊗ |i>. U must be unitary
+    within 1e-8 (max-abs deviation of U^dag U from the identity).
     """
     u = np.asarray(u, dtype=np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("expected a square matrix")
-    if not linalg.is_unitary(u, atol):
+    if not np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-8:
         raise ValueError("input is not unitary within tolerance")
     n = u.shape[0]
     return ChoiMatrix(system_dim=n, factor=u.reshape(-1, 1) / np.sqrt(n))
@@ -88,7 +89,7 @@ def choi_distance(a: ChoiMatrix, b: ChoiMatrix) -> float:
     q, _ = np.linalg.qr(np.hstack([a.factor, b.factor]))
     x = q.conj().T @ a.factor
     y = q.conj().T @ b.factor
-    return linalg.trace_norm(x @ x.conj().T - y @ y.conj().T, atol=1e-8)
+    return linalg.trace_norm(x @ x.conj().T - y @ y.conj().T)
 
 
 @dataclass(frozen=True)
@@ -96,10 +97,6 @@ class RobustnessReport:
     """Choi distances to the target for the mu=1 and mu<1 solutions, with and
     without the control-coupled environment qubit."""
 
-    target: TargetGate
-    mu_used: float
-    gamma: float
-    seed: int
     dist_no_env_mu1: float
     dist_no_env_muL: float
     dist_env_mu1: float
@@ -135,6 +132,4 @@ def robustness_experiment(
         legs["dist_env_" + label] = choi_distance(
             choi_target, choi_of_env_channel(env_chain, res.best_seq)
         )
-    return RobustnessReport(
-        target=target, mu_used=mu_constrained, gamma=chain.gamma, seed=opt_cfg.seed, **legs
-    )
+    return RobustnessReport(**legs)

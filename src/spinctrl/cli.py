@@ -343,9 +343,9 @@ def run_robustness(cfg: ExperimentConfig) -> int:
 
     payload = {
         "config": cfg.echo(),
-        "gamma": report.gamma,
-        "mu_used": report.mu_used,
-        "seed": report.seed,
+        "gamma": cfg.gamma,
+        "mu_used": cfg.mu,
+        "seed": cfg.seed,
         "dist_no_env_mu1": report.dist_no_env_mu1,
         "dist_no_env_muL": report.dist_no_env_muL,
         "dist_env_mu1": report.dist_env_mu1,
@@ -359,7 +359,7 @@ def run_robustness(cfg: ExperimentConfig) -> int:
 
     print(
         f"{cfg.target}: env dist mu=1 {report.dist_env_mu1:.6f} vs "
-        f"mu={report.mu_used} {report.dist_env_muL:.6f} wall={wall:.2f}s",
+        f"mu={cfg.mu} {report.dist_env_muL:.6f} wall={wall:.2f}s",
         file=sys.stderr,
     )
     return 0

@@ -44,7 +44,7 @@ from . import linalg
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Chain geometry and couplings.
+    """Chain geometry and couplings, in units of the exchange coupling.
 
     ``gamma`` scales the star coupling between every chain site and the
     extra environment qubit used when ``env_enabled`` is set; the coupling
@@ -52,7 +52,6 @@ class ChainSpec:
     """
 
     n_sites: int
-    coupling: float = 1.0
     env_enabled: bool = False
     gamma: float = 0.1
 
@@ -61,8 +60,6 @@ class ChainSpec:
             raise ValueError(f"n_sites must be an integer, not {self.n_sites!r}")
         if self.n_sites < 1:
             raise ValueError("chain needs at least one site")
-        if not (math.isfinite(self.coupling) and self.coupling > 0):
-            raise ValueError("coupling must be positive and finite")
         if not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise ValueError("gamma must be non-negative and finite")
 
@@ -76,7 +73,7 @@ class ChainSpec:
         |h| <= sqrt(2)*amplitude for the field on site 1 and, with the
         environment qubit, s <= 2*gamma*amplitude times 3 per star pair."""
         n = self.n_sites
-        norm = 3.0 * (n - 1) * self.coupling + math.sqrt(2.0) * amplitude
+        norm = 3.0 * (n - 1) + math.sqrt(2.0) * amplitude
         if self.env_enabled:
             norm += 6.0 * n * self.gamma * amplitude
         return norm
@@ -116,10 +113,6 @@ class ControlSequence:
     @property
     def n(self) -> int:
         return int(self.hx.size)
-
-    @property
-    def duration(self) -> float:
-        return self.n * self.dt
 
     def pulse_vector(self) -> np.ndarray:
         """Flat parameter vector [hx_1..hx_n, hy_1..hy_n]."""
@@ -182,9 +175,9 @@ def _exchange_sum(pairs, n_sites: int) -> np.ndarray:
 
 
 def drift_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """Isotropic nearest-neighbour Heisenberg coupling; zero matrix for a single site."""
+    """Unit isotropic nearest-neighbour Heisenberg coupling; zero matrix for a single site."""
     n = spec.n_sites
-    return spec.coupling * _exchange_sum([(i, i + 1) for i in range(1, n)], n)
+    return _exchange_sum([(i, i + 1) for i in range(1, n)], n)
 
 
 def env_coupling_operator(n_sites: int) -> np.ndarray:

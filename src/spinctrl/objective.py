@@ -138,7 +138,6 @@ class PulseObjective:
             raise ValueError("pulses are optimized on the bare chain; disable the environment qubit")
         if target.n_sites != spec.n_sites:
             raise ValueError("target and chain have different site counts")
-        self.spec = spec
         self.n = int(n)
         self.dt = float(dt)
         self.bound = float(bound)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -18,6 +18,7 @@ _MAX_LINE_SEARCH_TRIALS = 50
 # Strong Wolfe constants: sufficient decrease and curvature.
 _WOLFE_C1 = 1e-4
 _WOLFE_C2 = 0.9
+_INIT_AMPLITUDE = 0.5
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,6 @@ class OptimizerConfig:
     max_iters: int = 5000
     grad_tol: float = 1e-6
     restarts: int = 8
-    init_amplitude: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -39,30 +39,27 @@ class OptimizerConfig:
             raise ValueError("grad_tol must be positive and finite")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if not (math.isfinite(self.init_amplitude) and self.init_amplitude >= 0):
-            raise ValueError("init_amplitude must be non-negative and finite")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
 
 @dataclass
 class BfgsInfo:
-    """Outcome of one BFGS run: accepted-iterate objective values, flags and
-    the number of ``value_and_grad`` calls."""
+    """Outcome of one BFGS run: its iterations, flags and the number of
+    ``value_and_grad`` calls."""
 
     iterations: int
     converged: bool
     line_search_failed: bool
     evaluations: int
-    objective_trace: list[float] = field(default_factory=list)
 
 
-def _wolfe_search(vag, point, p, f0, g0, a_max, max_trials=_MAX_LINE_SEARCH_TRIALS):
+def _wolfe_search(vag, point, p, f0, g0, a_max):
     """Strong Wolfe line search over steps a in (0, a_max] along the ray
     ``point(a)`` with direction ``p``: trials from min(1, a_max) double up to
     ``a_max``, where a still-descending step is accepted, then bisection zoom.
-    Returns (x, f, g) at an acceptable step, or None after ``max_trials``
-    function evaluations (counting both phases).
+    Returns (x, f, g) at an acceptable step, or None after
+    ``_MAX_LINE_SEARCH_TRIALS`` function evaluations (counting both phases).
     """
     d0 = float(g0 @ p)
     trials = 0
@@ -77,7 +74,7 @@ def _wolfe_search(vag, point, p, f0, g0, a_max, max_trials=_MAX_LINE_SEARCH_TRIA
     a_prev, f_prev = 0.0, f0
     a = min(1.0, a_max)
     bracket = None
-    while trials < max_trials:
+    while trials < _MAX_LINE_SEARCH_TRIALS:
         xa, fa, ga, da = evaluate(a)
         if fa > f0 + _WOLFE_C1 * a * d0 or (a_prev > 0.0 and fa >= f_prev):
             bracket = (a_prev, f_prev, a)
@@ -93,7 +90,7 @@ def _wolfe_search(vag, point, p, f0, g0, a_max, max_trials=_MAX_LINE_SEARCH_TRIA
         return None
 
     lo, f_lo, hi = bracket
-    while trials < max_trials:
+    while trials < _MAX_LINE_SEARCH_TRIALS:
         if abs(hi - lo) <= 1e-16 * max(1.0, abs(lo), abs(hi)):
             return None
         a = 0.5 * (lo + hi)
@@ -173,7 +170,6 @@ def bfgs_minimize(
     _set_identity(hmat)
     work, cols, rows = np.empty((dim, dim)), np.empty((dim, 2)), np.empty((2, dim))
     fresh_hessian = True
-    trace = [f]
     ls_failed = False
     it = 0
     while True:
@@ -219,14 +215,12 @@ def bfgs_minimize(
             _bfgs_update(hmat, s, y, sy, work, cols, rows)
 
         x, f, g = x_new, f_new, g_new
-        trace.append(f)
 
     return x, BfgsInfo(
         iterations=it,
         converged=converged,
         line_search_failed=ls_failed,
         evaluations=evaluations,
-        objective_trace=trace,
     )
 
 
@@ -244,7 +238,6 @@ class OptimizationResult:
     G: float
     iterations_used: int
     restart_index: int
-    seed: int
     converged: bool
     line_search_failed: bool
     evaluations: int
@@ -259,23 +252,23 @@ def optimize_controls(
 ) -> OptimizationResult:
     """Multi-restart projected BFGS over pulse sequences.
 
-    Runs ``restarts`` independent BFGS minimizations from uniform random
-    initial pulses (per-restart child seeds derived from ``opt_cfg.seed``)
-    and returns the restart with the lowest reported functional, ties going
-    to the lower restart index. Deterministic given (seed, configs).
+    Runs ``restarts`` independent BFGS minimizations from initial pulses
+    drawn uniformly from +-min(0.5, bound) (per-restart child seeds derived
+    from ``opt_cfg.seed``) and returns the restart with the lowest reported
+    functional, ties going to the lower restart index. Deterministic given
+    (seed, configs).
     """
-    if opt_cfg.init_amplitude > seq_template.bound:
-        raise ValueError("init_amplitude exceeds the pulse amplitude bound")
     po = PulseObjective(
         spec, target, seq_template.n, seq_template.dt, seq_template.bound, obj_cfg
     )
     u_target = target_unitary(target)
     children = np.random.SeedSequence(opt_cfg.seed).spawn(opt_cfg.restarts)
+    amplitude = min(_INIT_AMPLITUDE, seq_template.bound)
 
     best = None
     for r in range(opt_cfg.restarts):
         rng = np.random.default_rng(children[r])
-        x0 = rng.uniform(-opt_cfg.init_amplitude, opt_cfg.init_amplitude, 2 * seq_template.n)
+        x0 = rng.uniform(-amplitude, amplitude, 2 * seq_template.n)
         x, info = bfgs_minimize(po.value_and_grad, x0, seq_template.bound, opt_cfg)
         seq = po.sequence(x)
         fid = fidelity(u_target, propagate(spec, seq))
@@ -288,7 +281,6 @@ def optimize_controls(
             G=g_true,
             iterations_used=info.iterations,
             restart_index=r,
-            seed=opt_cfg.seed,
             converged=info.converged,
             line_search_failed=info.line_search_failed,
             evaluations=info.evaluations,

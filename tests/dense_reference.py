@@ -37,7 +37,7 @@ def dense_operators(spec):
     drift = np.zeros((2**total, 2**total), dtype=complex)
     for i in range(1, n):
         for s in (SX, SY, SZ):
-            drift += spec.coupling * on_sites(total, {i: s, i + 1: s})
+            drift += on_sites(total, {i: s, i + 1: s})
     star = None
     if spec.env_enabled:
         star = sum(on_sites(total, {i: s, total: s}) for i in range(1, n + 1) for s in (SX, SY, SZ))

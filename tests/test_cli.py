@@ -215,6 +215,24 @@ class TestRobustnessCommand:
         assert report["mu_used"] == report["config"]["mu"]
 
 
+@pytest.mark.parametrize(
+    "command, outputs",
+    [("run", ["result.json", "pulses.csv", "trajectories.csv"]), ("robustness", ["robustness.json"])],
+    ids=["run", "robustness"],
+)
+def test_bound_below_half_runs(tmp_path, command, outputs):
+    # restarts start from pulses in +-min(0.5, bound), so a bound of 0.3 is usable
+    code = main(
+        [command, "--target", "not3", "--n-pulses", "8", "--restarts", "1",
+         "--bound", "0.3", "--output-dir", str(tmp_path)]
+    )
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(outputs)
+    if command == "run":
+        pulses = json.loads((tmp_path / "result.json").read_text())["pulses"]
+        assert max(abs(h) for h in pulses["hx"] + pulses["hy"]) <= 0.3
+
+
 NUMERIC_FIELDS = [f.name for f in fields(ExperimentConfig) if f.metadata["kind"] in (int, float)]
 
 

@@ -189,10 +189,6 @@ class TestTraceNorm:
             assert np.isclose(tn, np.sum(np.linalg.svd(diff, compute_uv=False)))
             assert tn <= 2.0 + 1e-12
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            linalg.trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
     def test_norm_axioms(self):
         rng = np.random.default_rng(41)
         for _ in range(5):

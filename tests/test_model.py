@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import I2, SX, SY, SZ, dense_slice_hamiltonians, kron_chain, on_sites
-from spinctrl import linalg
 from spinctrl.model import (
     ChainSpec,
     ControlSequence,
@@ -92,8 +91,6 @@ class TestSpecs:
         with pytest.raises(ValueError):
             ChainSpec(n_sites=0)
         with pytest.raises(ValueError):
-            ChainSpec(n_sites=2, coupling=0.0)
-        with pytest.raises(ValueError):
             ChainSpec(n_sites=2, gamma=-0.1)
         with pytest.raises(ValueError):
             ChainSpec(n_sites=2, gamma=float("nan"))
@@ -126,7 +123,7 @@ class TestSpecs:
         fields = np.array([(2.0, 2.0), (-2.0, 2.0), (2.0, 0.0), (0.0, -2.0)])
         fields = np.vstack([fields, rng.uniform(-2.0, 2.0, (8, 2))])
         for n_sites in range(1, 5):
-            spec = ChainSpec(n_sites=n_sites, coupling=1.5, env_enabled=env, gamma=0.3)
+            spec = ChainSpec(n_sites=n_sites, env_enabled=env, gamma=0.3)
             h = dense_slice_hamiltonians(spec, fields[:, 0], fields[:, 1])
             assert np.max(np.abs(np.linalg.eigvalsh(h))) <= spec.norm_bound(2.0) + 1e-12
 
@@ -154,14 +151,9 @@ class TestDriftHamiltonian:
         expected = np.zeros((8, 8), dtype=complex)
         for s in (SX, SY, SZ):
             expected += kron_chain(s, s, I2) + kron_chain(I2, s, s)
-        h = drift_hamiltonian(ChainSpec(n_sites=3, coupling=1.0))
+        h = drift_hamiltonian(ChainSpec(n_sites=3))
         assert np.allclose(h, expected, atol=1e-14)
-        assert linalg.is_hermitian(h)
-
-    def test_coupling_scales(self):
-        h1 = drift_hamiltonian(ChainSpec(n_sites=2, coupling=1.0))
-        h2 = drift_hamiltonian(ChainSpec(n_sites=2, coupling=2.5))
-        assert np.allclose(h2, 2.5 * h1)
+        assert np.max(np.abs(h - h.conj().T)) < 1e-10
 
 
 class TestSliceEigensystem:
@@ -172,12 +164,11 @@ class TestSliceEigensystem:
         st.integers(1, 4),
         st.sampled_from([False, True]),
         st.sampled_from([0.0, 0.3]),
-        st.sampled_from([1.0, 2.5]),
         pulse_lists,
     )
-    def test_rebuilds_dense_oracle(self, n_sites, env, gamma, coupling, pulses):
+    def test_rebuilds_dense_oracle(self, n_sites, env, gamma, pulses):
         hx, hy = np.array(EDGE_SLICES + pulses).T
-        spec = ChainSpec(n_sites=n_sites, coupling=coupling, env_enabled=env, gamma=gamma)
+        spec = ChainSpec(n_sites=n_sites, env_enabled=env, gamma=gamma)
         evals, evecs = kernel_eigensystem(spec, hx, hy)
         rebuilt = (evecs * evals[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
         assert np.max(np.abs(rebuilt - dense_slice_hamiltonians(spec, hx, hy))) < 1e-12
@@ -201,12 +192,12 @@ class TestSliceEigensystem:
                     assert np.array_equal(blocks, blocks.swapaxes(-1, -2))
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(1, 4), st.sampled_from([False, True]), st.sampled_from([1.0, 2.5]),
-           st.floats(0.0, 3.0), st.sampled_from([0.0, 0.3]))
-    def test_basis_block_diagonalizes_oracle(self, n_sites, env, coupling, r, gamma):
+    @given(st.integers(1, 4), st.sampled_from([False, True]), st.floats(0.0, 3.0),
+           st.sampled_from([0.0, 0.3]))
+    def test_basis_block_diagonalizes_oracle(self, n_sites, env, r, gamma):
         # oracle: the dense inner matrix (hy = 0, so phi = 0), rotated by the
         # basis, vanishes between columns of different total Sx
-        spec = ChainSpec(n_sites=n_sites, coupling=coupling, env_enabled=env, gamma=gamma)
+        spec = ChainSpec(n_sites=n_sites, env_enabled=env, gamma=gamma)
         q = n_sites + env
         basis = slice_operators(spec).basis
         sx_total = basis.T @ sum(on_sites(q, {k: SX}) for k in range(1, q + 1)).real @ basis

@@ -216,7 +216,7 @@ def objective_cases(draw):
     """A chain, a target on it and a pulse vector, edge amplitudes included."""
     n_sites = draw(st.integers(1, 4))
     kind = "NOT" if n_sites == 1 else draw(st.sampled_from(["NOT", "SWAP"]))
-    spec = ChainSpec(n_sites=n_sites, coupling=draw(st.sampled_from([1.0, 2.5])))
+    spec = ChainSpec(n_sites=n_sites)
     amplitude = st.one_of(st.sampled_from([0.0, -0.0, 1.5, -2.0]), st.floats(-3.0, 3.0))
     n = draw(st.integers(1, 6))
     x = np.array(draw(st.lists(amplitude, min_size=2 * n, max_size=2 * n)))
