@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Runs each CLI case below twice, in separate processes, and compares the
-# named output files byte for byte. Exits non-zero on the first difference.
+# named output files byte for byte. Exits non-zero on the first difference,
+# and on any numpy RuntimeWarning (overflow, invalid value), which is an error.
 #
 #   scripts/check_determinism.sh [WORK_DIR]
 #
@@ -15,7 +16,7 @@ check() {
   local name=$1 files=$2
   shift 2
   for d in a b; do
-    PYTHONPATH=src python -m spinctrl.cli "$@" --output-dir "$work/$name-$d"
+    PYTHONPATH=src python -W error::RuntimeWarning -m spinctrl.cli "$@" --output-dir "$work/$name-$d"
   done
   for f in $files; do
     cmp "$work/$name-a/$f" "$work/$name-b/$f"

@@ -117,11 +117,16 @@ class ExperimentConfig:
             raise ConfigError(str(e)) from None
         # propagate runs a stretch of equal slices as one slice of up to
         # n_pulses*dt, whose phases (duration times eigenvalue) must be finite.
+        # The optimizer takes g @ g of a gradient whose 2*n_pulses entries are
+        # at most dt (fidelity) + 1/(n_pulses*min(bound, 1)) (penalty slope).
         env_chain = replace(self.chain(), env_enabled=True)
-        if not math.isfinite(self.n_pulses * self.dt * env_chain.norm_bound(self.bound)):
+        phase = self.n_pulses * self.dt * env_chain.norm_bound(self.bound)
+        slope = self.dt + 1.0 / (self.n_pulses * min(self.bound, 1.0))
+        if not math.isfinite(phase + 2 * self.n_pulses * slope * slope):
             raise ConfigError(
-                "n_pulses * dt * (bound on the slice Hamiltonian's norm) is not finite; "
-                "reduce dt, bound or gamma"
+                "n_pulses * dt * (bound on the slice Hamiltonian's norm) or the gradient "
+                "scale 2 * n_pulses * (dt + 1/(n_pulses * min(bound, 1)))^2 is not finite; "
+                "reduce dt or gamma, or raise a tiny bound"
             )
 
     def chain(self) -> ChainSpec:

@@ -23,10 +23,13 @@ blocks are the only matrices that are diagonalized (``eigh_stack``), and the
 eigenvectors stay factored as V = D R with R real, so that each slice
 propagator is formed from real products. No dense slice Hamiltonian is built.
 
-Conventions: spin operators are the bare Pauli matrices; control-field
-amplitudes are in units of the chain coupling and times in its inverse.
-Slice 1 of a control sequence acts first, so the total propagator is
-U_n ... U_2 U_1.
+Conventions: spin operators are the bare Pauli matrices, and qubit 1 is the
+most significant bit of a basis index (an environment qubit is the last).
+The fixed operators are real matrices of basis-index permutations: Sx^1
+flips a bit, and each exchange term Sx^i Sx^j + Sy^i Sy^j + Sz^i Sz^j is
+2*SWAP_ij - I (Dirac's exchange identity). Control-field amplitudes are in
+units of the chain coupling and times in its inverse. Slice 1 of a control
+sequence acts first, so the total propagator is U_n ... U_2 U_1.
 """
 
 from __future__ import annotations
@@ -148,61 +151,60 @@ class TargetGate:
             raise ValueError(f"{self.kind} requires at least {minimum} sites")
 
 
-_SWAP2 = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.complex128
-)
+def _flip(n_qubits: int, q: int) -> np.ndarray:
+    """Basis-index map of the bit flip of qubit q (1-based) on n_qubits qubits."""
+    return np.arange(2**n_qubits) ^ (1 << (n_qubits - q))
+
+
+def _swap(n_qubits: int, i: int, j: int) -> np.ndarray:
+    """Basis-index map that exchanges the bits of qubits i and j (see ``_flip``)."""
+    k = np.arange(2**n_qubits)
+    mask = (1 << (n_qubits - i)) | (1 << (n_qubits - j))
+    # Equal bits (both 0 or both 1) stay; unequal ones both flip.
+    return np.where(np.isin(k & mask, (0, mask)), k, k ^ mask)
+
+
+def _permutation(index_map: np.ndarray) -> np.ndarray:
+    """Real permutation matrix P with P|k> = |index_map[k]>."""
+    return np.eye(index_map.size)[:, index_map]
 
 
 def target_unitary(target: TargetGate) -> np.ndarray:
     """The target gate as a dense unitary on the full chain."""
-    if target.kind == "NOT":
-        left = np.eye(2 ** (target.n_sites - 1), dtype=np.complex128)
-        return linalg.kron(left, linalg.pauli("x"))
-    left = np.eye(2 ** (target.n_sites - 2), dtype=np.complex128)
-    return linalg.kron(left, _SWAP2)
+    n = target.n_sites
+    index_map = _flip(n, n) if target.kind == "NOT" else _swap(n, n - 1, n)
+    return _permutation(index_map).astype(np.complex128)
 
 
-def _exchange_sum(pairs, n_sites: int) -> np.ndarray:
-    """Sum over site pairs (i, j) of Sx^i Sx^j + Sy^i Sy^j + Sz^i Sz^j on n_sites qubits."""
-    h = np.zeros((2**n_sites, 2**n_sites), dtype=np.complex128)
-    for i, j in pairs:
-        for axis in "xyz":
-            op = linalg.pauli(axis)
-            h += linalg.embed_single_site(op, i, n_sites) @ linalg.embed_single_site(
-                op, j, n_sites
-            )
-    return h
+def _exchange_sum(pairs, n_qubits: int) -> np.ndarray:
+    """Sum over qubit pairs (i, j) of Sx^i Sx^j + Sy^i Sy^j + Sz^i Sz^j on
+    n_qubits qubits. Each term is 2*SWAP_ij - I (Dirac's exchange identity)."""
+    eye = np.eye(2**n_qubits)
+    return sum((2.0 * _permutation(_swap(n_qubits, i, j)) - eye for i, j in pairs), 0.0 * eye)
 
 
 def drift_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """Unit isotropic nearest-neighbour Heisenberg coupling; zero matrix for a single site."""
+    """Unit isotropic nearest-neighbour Heisenberg coupling, a real matrix;
+    zero for a single site."""
     n = spec.n_sites
     return _exchange_sum([(i, i + 1) for i in range(1, n)], n)
-
-
-def env_coupling_operator(n_sites: int) -> np.ndarray:
-    """Star coupling of every chain site to an extra qubit appended last.
-
-    Sum over i of Sx^i Sx^(N+1) + Sy^i Sy^(N+1) + Sz^i Sz^(N+1) on N+1 qubits.
-    """
-    total = n_sites + 1
-    return _exchange_sum([(i, total) for i in range(1, total)], total)
 
 
 def _sector_basis(weight: np.ndarray) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
     """Real orthogonal basis of the total-Sx sectors, and its column groups.
 
     ``weight`` holds popcount(c) for every index c. Column c of H^⊗n (H the
-    2x2 Hadamard matrix) is a product of Sx eigenstates with total
-    Sx = n - 2*popcount(c), so the sector of weight w has C(n, w) columns. The
-    returned basis holds these columns grouped by sector size, smallest first,
-    and each group is the (count, size) of its run of ``count`` sectors of
-    ``size`` columns, weight by weight.
+    2x2 Hadamard matrix), whose entry r is (-1)^popcount(r & c) / sqrt(2)^n,
+    is a product of Sx eigenstates with total Sx = n - 2*popcount(c), so the
+    sector of weight w has C(n, w) columns. The returned basis holds these
+    columns grouped by sector size, smallest first, and each group is the
+    (count, size) of its run of ``count`` sectors of ``size`` columns, weight
+    by weight.
     """
     n_qubits = len(weight).bit_length() - 1
-    hadamard = np.ones((1, 1))
-    for _ in range(n_qubits):
-        hadamard = np.kron(hadamard, np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0))
+    k = np.arange(len(weight))
+    scale = math.prod([1.0 / math.sqrt(2.0)] * n_qubits)
+    hadamard = scale * (1 - 2 * (weight[k[:, None] & k] % 2))
     sizes = np.array([math.comb(n_qubits, w) for w in range(n_qubits + 1)])
     counts = collections.Counter(sizes.tolist())
     order = np.lexsort((weight, sizes[weight]))
@@ -222,7 +224,7 @@ def _sector_blocks(basis: np.ndarray, groups, op: np.ndarray) -> tuple[np.ndarra
     blocks, start = [], 0
     for count, size in groups:
         q = _group_columns(basis, start, count, size)
-        b = q.swapaxes(-1, -2) @ op.real @ q
+        b = q.swapaxes(-1, -2) @ op @ q
         blocks.append((b + b.swapaxes(-1, -2)) / 2.0)
         start += count * size
     return tuple(blocks)
@@ -255,22 +257,19 @@ def slice_operators(spec: ChainSpec) -> SliceOperators:
 
     Built once per spec and shared by every caller, so the arrays are
     read-only."""
-    drift = drift_hamiltonian(spec)
-    sx1 = linalg.embed_single_site(linalg.pauli("x"), 1, spec.n_sites)
+    n = spec.n_sites
+    n_qubits = n + 1 if spec.env_enabled else n
+    drift = _exchange_sum([(i, i + 1) for i in range(1, n)], n_qubits)
     star = None
     if spec.env_enabled:
-        eye2 = np.eye(2, dtype=np.complex128)
-        drift, sx1 = linalg.kron(drift, eye2), linalg.kron(sx1, eye2)
-        star = env_coupling_operator(spec.n_sites)
-    dim = drift.shape[0]
-    n_qubits = dim.bit_length() - 1
-    weight = ((np.arange(dim)[:, None] >> np.arange(n_qubits)) & 1).sum(axis=1)
+        star = _exchange_sum([(i, n_qubits) for i in range(1, n_qubits)], n_qubits)
+    weight = ((np.arange(2**n_qubits)[:, None] >> np.arange(n_qubits)) & 1).sum(axis=1)
     basis, groups = _sector_basis(weight)
     ops = SliceOperators(
         basis=basis,
         m=(n_qubits - 2 * weight).astype(np.float64),
         drift=_sector_blocks(basis, groups, drift),
-        field=_sector_blocks(basis, groups, sx1),
+        field=_sector_blocks(basis, groups, _permutation(_flip(n_qubits, 1))),
         star=None if star is None else _sector_blocks(basis, groups, star),
         gamma=spec.gamma,
     )
@@ -443,13 +442,12 @@ def bloch_trajectories(
     kernel.run(seq.hx, seq.hy, seq.dt)
     # psi[j]: the state after the first j slices.
     psi = kernel.fwd[:, :, int(label, 2)]
-    # Qubit q (1-based) is bit n_sites - q of basis index k: sign[k, q] is
-    # its sz eigenvalue and flip[k, q] the index with that bit toggled, so
+    # flip[k, q - 1] is index k with qubit q flipped, and sign[k, q - 1] the sz
+    # eigenvalue of qubit q in k: +1 where the flip raises the index. So
     # sx|k> = |flip>, sy|k> = i*sign|flip> and, with pair = conj(psi_k)*psi_flip,
     # <sx> = sum_k pair, <sy> = Im sum_k sign*pair and <sz> = sum_k sign*|psi_k|^2.
-    shifts = np.arange(spec.n_sites - 1, -1, -1)
-    sign = 1 - 2 * ((np.arange(spec.dim)[:, None] >> shifts) & 1)
-    flip = np.arange(spec.dim)[:, None] ^ (1 << shifts)
+    flip = np.stack([_flip(spec.n_sites, q) for q in range(1, spec.n_sites + 1)], axis=1)
+    sign = np.sign(flip - np.arange(spec.dim)[:, None])
     pair = psi.conj()[:, :, None] * psi[:, flip]
     out = np.empty((seq.n + 1, spec.n_sites, 3))
     out[..., 0] = pair.sum(axis=1).real

@@ -8,11 +8,12 @@ kernel moved to symmetry sectors.
 
 import numpy as np
 
-from spinctrl import linalg
 from spinctrl.model import target_unitary
 from spinctrl.objective import GRAD_PHASE_EPSILON, surrogate_abs, surrogate_abs_derivative
 
-SX, SY, SZ = (linalg.pauli(a) for a in "xyz")
+SX = np.array([[0, 1], [1, 0]], dtype=complex)
+SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
 

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from spinctrl import linalg
+from dense_reference import SX
 from spinctrl.channels import choi_distance, choi_of_env_channel, choi_of_unitary, robustness_experiment
 from spinctrl.cli import main
 from spinctrl.model import ChainSpec, ControlSequence, TargetGate, propagate
@@ -167,7 +167,7 @@ def test_invariant_suite():
 
     # orthogonal single-qubit channels at maximal distance
     checks.append(
-        abs(choi_distance(choi_of_unitary(np.eye(2)), choi_of_unitary(linalg.pauli("x"))) - 2.0)
+        abs(choi_distance(choi_of_unitary(np.eye(2)), choi_of_unitary(SX)) - 2.0)
         < 1e-9
     )
 

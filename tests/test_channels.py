@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import SX
 from spinctrl import linalg
 from spinctrl.channels import (
     ChoiMatrix,
@@ -85,7 +86,7 @@ class TestChoiOfUnitary:
         assert np.max(np.abs(evals[:-1])) < 1e-10
 
     def test_orthogonal_channels_at_max_distance(self):
-        d = choi_distance(choi_of_unitary(np.eye(2)), choi_of_unitary(linalg.pauli("x")))
+        d = choi_distance(choi_of_unitary(np.eye(2)), choi_of_unitary(SX))
         assert np.isclose(d, 2.0, atol=1e-9)
 
     def test_global_phase_invariant(self):

@@ -236,23 +236,38 @@ def test_bound_below_half_runs(tmp_path, command, outputs):
 NUMERIC_FIELDS = [f.name for f in fields(ExperimentConfig) if f.metadata["kind"] in (int, float)]
 
 
+# (command, field, value, surrogate): the flag under test, on the default
+# surrogate unless one is named.
 NON_FINITE_CASES = [
     (command, name, value)
     for command, name in [("run", name) for name in NUMERIC_FIELDS]
     + [("robustness", name) for name in NUMERIC_FIELDS if name not in _RUN_ONLY]
     for value in ("nan", "inf", "-inf")
-    # A finite dt whose slice phases overflow: n_pulses * dt is already inf.
-] + [("run", "dt", "1e308"), ("robustness", "dt", "1e308")]
+] + [
+    (command, *case)
+    for command in ("run", "robustness")
+    for case in [
+        # A finite dt whose slice phases overflow: n_pulses * dt is already inf.
+        ("dt", "1e308"),
+        # Finite phases, but a gradient whose squared norm overflows: dt^2, or
+        # the squared penalty slope ~ 1/(n_pulses * bound)^2 of a tiny bound.
+        ("dt", "1e300"),
+        ("bound", "1e-300", "signum"),
+        ("bound", "1e-160", "fractional"),
+    ]
+]
 
 
 @pytest.mark.parametrize(
-    "command,name,value", NON_FINITE_CASES, ids=["-".join(case) for case in NON_FINITE_CASES]
+    "case", NON_FINITE_CASES, ids=["-".join(case) for case in NON_FINITE_CASES]
 )
-def test_non_finite_numeric_flag_exits_2_without_files(tmp_path, command, name, value):
+def test_non_finite_numeric_flag_exits_2_without_files(tmp_path, case):
+    command, name, value, *surrogate = case
     out = tmp_path / "out"
     # The flag under test comes last, so it overrides the small run size.
     args = [command, "--target", "not3", "--n-pulses", "2", "--restarts", "1",
-            "--output-dir", str(out), f"--{name.lower().replace('_', '-')}={value}"]
+            "--output-dir", str(out), *[f"--surrogate={s}" for s in surrogate],
+            f"--{name.lower().replace('_', '-')}={value}"]
     try:
         code = main(args)
     except SystemExit as e:  # argparse rejects a non-integer count itself
@@ -271,3 +286,16 @@ class TestEntryPoint:
         # argparse prints usage on --help and exits 0
         assert proc.returncode == 0
         assert "spinctrl" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "flags", [["--dt", "1e153"], ["--surrogate", "signum", "--bound", "1e-150"]],
+    ids=["dt_1e153", "signum_bound_1e-150"],
+)
+def test_large_but_finite_gradient_scale_runs(tmp_path, flags):
+    # 2 * n_pulses * (dt + 1/(n_pulses * min(bound, 1)))^2 is finite here, so the
+    # config check admits these runs, and they finish without an overflow warning.
+    code = main(["run", "--target", "not3", "--n-pulses", "4", "--restarts", "1",
+                 "--output-dir", str(tmp_path), *flags])
+    assert code == 0
+    assert (tmp_path / "result.json").exists()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import SX, SZ
 from spinctrl import linalg
 from spinctrl.model import ChainSpec, SliceKernel, eigh_stack
 
@@ -45,70 +46,6 @@ def random_density(rng, dim):
     return rho / np.trace(rho)
 
 
-class TestPauli:
-    def test_x(self):
-        assert np.array_equal(linalg.pauli("x"), np.array([[0, 1], [1, 0]]))
-
-    def test_z(self):
-        assert np.array_equal(linalg.pauli("z"), np.array([[1, 0], [0, -1]]))
-
-    def test_y_squares_to_identity(self):
-        y = linalg.pauli("y")
-        assert np.allclose(y @ y, np.eye(2))
-
-    def test_unknown_axis(self):
-        with pytest.raises(ValueError):
-            linalg.pauli("w")
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.allclose(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_block_structure(self):
-        # sigma_x (x) I has an identity block in the upper-right corner
-        m = linalg.kron(linalg.pauli("x"), np.eye(2))
-        assert m[0, 2] == 1.0
-
-    def test_trace_multiplicative(self):
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            # oracle: multiply the traces directly
-            assert np.isclose(np.trace(linalg.kron(a, b)), np.trace(a) * np.trace(b))
-
-    def test_associative_exact_on_integers(self):
-        rng = np.random.default_rng(3)
-        a, b, c = (rng.integers(-3, 4, size=(2, 2)).astype(complex) for _ in range(3))
-        left = linalg.kron(linalg.kron(a, b), c)
-        right = linalg.kron(a, linalg.kron(b, c))
-        assert np.array_equal(left, right)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            linalg.kron()
-
-
-class TestEmbedSingleSite:
-    def test_single_site_chain(self):
-        assert np.array_equal(linalg.embed_single_site(linalg.pauli("x"), 1, 1), linalg.pauli("x"))
-
-    def test_second_of_two(self):
-        expected = np.kron(np.eye(2), linalg.pauli("z"))
-        assert np.array_equal(linalg.embed_single_site(linalg.pauli("z"), 2, 2), expected)
-
-    def test_distinct_sites_commute(self):
-        a = linalg.embed_single_site(linalg.pauli("x"), 1, 3)
-        b = linalg.embed_single_site(linalg.pauli("y"), 3, 3)
-        assert np.allclose(a @ b - b @ a, 0.0)
-
-    @pytest.mark.parametrize("site", [0, 4])
-    def test_site_out_of_range(self, site):
-        with pytest.raises(ValueError):
-            linalg.embed_single_site(linalg.pauli("x"), site, 3)
-
-
 class TestExpmMinusI:
     """exp(-i*t*H) through eigh_stack and SliceKernel.forward, for H = D S D^dag
     with S real symmetric and D a diagonal phase: the slice kernel's form."""
@@ -117,8 +54,8 @@ class TestExpmMinusI:
         # H = D sx D^dag is a Pauli along a random axis in the xy plane
         theta = np.pi / 2
         phase = random_phase(np.random.default_rng(3), 2)
-        u = expm_minus_i(linalg.pauli("x").real, phase, theta)
-        axis = phase[:, None] * linalg.pauli("x") * phase.conj()[None, :]
+        u = expm_minus_i(SX.real, phase, theta)
+        axis = phase[:, None] * SX * phase.conj()[None, :]
         expected = np.cos(theta) * np.eye(2) - 1j * np.sin(theta) * axis
         assert np.allclose(u, expected, atol=1e-12)
 
@@ -178,7 +115,7 @@ class TestTraceNorm:
         assert linalg.trace_norm(np.zeros((4, 4))) == 0.0
 
     def test_pauli_z(self):
-        assert np.isclose(linalg.trace_norm(linalg.pauli("z")), 2.0)
+        assert np.isclose(linalg.trace_norm(SZ), 2.0)
 
     def test_density_difference_bounded(self):
         # oracle: the trace norm is the sum of singular values

@@ -146,14 +146,15 @@ class TestDriftHamiltonian:
         evals = np.linalg.eigvalsh(drift_hamiltonian(ChainSpec(n_sites=2)))
         assert np.allclose(np.sort(evals), [-3.0, 1.0, 1.0, 1.0])
 
-    def test_three_site_term_by_term(self):
-        # oracle: independent assembly from explicit Kronecker factors
-        expected = np.zeros((8, 8), dtype=complex)
-        for s in (SX, SY, SZ):
-            expected += kron_chain(s, s, I2) + kron_chain(I2, s, s)
-        h = drift_hamiltonian(ChainSpec(n_sites=3))
-        assert np.allclose(h, expected, atol=1e-14)
-        assert np.max(np.abs(h - h.conj().T)) < 1e-10
+    @pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
+    def test_term_by_term(self, n_sites):
+        # oracle: independent assembly from explicit Kronecker factors; both
+        # are sums of small integers, so they agree exactly
+        expected = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
+        for i in range(1, n_sites):
+            for s in (SX, SY, SZ):
+                expected += on_sites(n_sites, {i: s, i + 1: s})
+        assert np.array_equal(drift_hamiltonian(ChainSpec(n_sites=n_sites)), expected)
 
 
 class TestSliceEigensystem:
@@ -494,6 +495,19 @@ class TestTargetUnitary:
         psi[int("000", 2)] = 1.0
         out = u @ psi
         assert np.isclose(out[int("001", 2)], 1.0)
+
+    @pytest.mark.parametrize(
+        "kind,n_sites", [("NOT", n) for n in range(1, 6)] + [("SWAP", n) for n in range(2, 6)]
+    )
+    def test_exact_against_kronecker(self, kind, n_sites):
+        # oracle: the identity on the leading qubits times X on the last one,
+        # or times the 4x4 SWAP on the last two
+        swap2 = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+        gate = SX if kind == "NOT" else swap2
+        expected = kron_chain(np.eye(2**n_sites // len(gate)), gate)
+        u = target_unitary(TargetGate(kind, n_sites))
+        assert u.dtype == np.complex128
+        assert np.array_equal(u, expected)
 
     @pytest.mark.parametrize("kind,n_sites", [("NOT", 3), ("SWAP", 3), ("SWAP", 4)])
     def test_involutory(self, kind, n_sites):
