@@ -32,7 +32,6 @@ from .objective import (
     fidelity,
     penalty,
     surrogate_abs,
-    surrogate_abs_derivative,
 )
 from .optimizer import (
     BfgsInfo,
@@ -66,6 +65,5 @@ __all__ = [
     "propagate_with_env",
     "robustness_experiment",
     "surrogate_abs",
-    "surrogate_abs_derivative",
     "target_unitary",
 ]

@@ -107,25 +107,23 @@ class RobustnessReport:
 
 def robustness_experiment(
     target: TargetGate,
-    mu_constrained: float,
     chain: ChainSpec,
     seq_template: ControlSequence,
     obj_cfg: ObjectiveConfig,
     opt_cfg: OptimizerConfig,
 ) -> RobustnessReport:
-    """Optimize pulses with (mu<1) and without (mu=1) the sparsity penalty and
-    compare both solutions to the target gate by Choi trace distance, with and
-    without the environment qubit whose coupling tracks the pulse magnitude."""
-    if not 0.0 <= mu_constrained < 1.0:
-        raise ValueError("mu_constrained must lie in [0, 1)")
+    """Optimize pulses with (``obj_cfg.mu`` < 1) and without (mu=1) the
+    sparsity penalty and compare both solutions to the target gate by Choi
+    trace distance, with and without the environment qubit whose coupling
+    tracks the pulse magnitude."""
+    if obj_cfg.mu >= 1.0:
+        raise ValueError("the penalized leg needs mu < 1")
     bare_chain = replace(chain, env_enabled=False)
     env_chain = replace(chain, env_enabled=True)
     choi_target = choi_of_unitary(target_unitary(target))
     legs = {}
-    for label, mu in (("mu1", 1.0), ("muL", mu_constrained)):
-        res = optimize_controls(
-            bare_chain, target, seq_template, replace(obj_cfg, mu=mu), opt_cfg
-        )
+    for label, cfg in (("mu1", replace(obj_cfg, mu=1.0)), ("muL", obj_cfg)):
+        res = optimize_controls(bare_chain, target, seq_template, cfg, opt_cfg)
         u = propagate(bare_chain, res.best_seq)
         legs["result_" + label] = res
         legs["dist_no_env_" + label] = choi_distance(choi_target, choi_of_unitary(u))

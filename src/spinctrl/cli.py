@@ -1,9 +1,9 @@
 """Command-line driver: runs pulse optimizations and robustness comparisons,
 writing JSON results and CSV time series.
 
-Exit codes: 0 on success, 2 on invalid configuration or an unusable output
-directory (nothing written), 3 when the optional --min-fidelity gate rejects
-the optimized result.
+Exit codes: 0 on success, 2 on invalid configuration, an unusable output
+directory or an output file name held by a directory (nothing written), 3
+when the optional --min-fidelity gate rejects the optimized result.
 """
 
 from __future__ import annotations
@@ -38,6 +38,12 @@ _SIZE_DEFAULTS = {
 }
 # Parameters that only `run` takes as flags; a config file may set them for both.
 _RUN_ONLY = ("initial_state", "min_fidelity")
+# The files each command writes into its output directory, in the order that
+# command's function takes their paths.
+OUTPUT_FILES = {
+    "run": ("result.json", "pulses.csv", "trajectories.csv"),
+    "robustness": ("robustness.json",),
+}
 
 
 class ConfigError(ValueError):
@@ -119,14 +125,17 @@ class ExperimentConfig:
         # n_pulses*dt, whose phases (duration times eigenvalue) must be finite.
         # The optimizer takes g @ g of a gradient whose 2*n_pulses entries are
         # at most dt (fidelity) + 1/(n_pulses*min(bound, 1)) (penalty slope).
+        # The Fermi-Dirac stand-in scales |h| <= bound by 1/(2*kT), its value by 2*kT.
         env_chain = replace(self.chain(), env_enabled=True)
         phase = self.n_pulses * self.dt * env_chain.norm_bound(self.bound)
         slope = self.dt + 1.0 / (self.n_pulses * min(self.bound, 1.0))
-        if not math.isfinite(phase + 2 * self.n_pulses * slope * slope):
+        fermi_dirac = self.bound / (2.0 * self.kT) + 2.0 * self.kT
+        if not math.isfinite(phase + 2 * self.n_pulses * slope * slope + fermi_dirac):
             raise ConfigError(
-                "n_pulses * dt * (bound on the slice Hamiltonian's norm) or the gradient "
-                "scale 2 * n_pulses * (dt + 1/(n_pulses * min(bound, 1)))^2 is not finite; "
-                "reduce dt or gamma, or raise a tiny bound"
+                "n_pulses * dt * (bound on the slice Hamiltonian's norm), the gradient "
+                "scale 2 * n_pulses * (dt + 1/(n_pulses * min(bound, 1)))^2, "
+                "bound / (2 * kT) or 2 * kT is not finite; "
+                "reduce dt or gamma, raise a tiny bound, or choose a kT nearer 1"
             )
 
     def chain(self) -> ChainSpec:
@@ -139,13 +148,8 @@ class ExperimentConfig:
     def seq_template(self) -> ControlSequence:
         return ControlSequence.zeros(self.n_pulses, self.dt, self.bound)
 
-    def objective_config(self, mu: float | None = None) -> ObjectiveConfig:
-        return ObjectiveConfig(
-            mu=self.mu if mu is None else mu,
-            surrogate=self.surrogate,
-            alpha=self.alpha,
-            kT=self.kT,
-        )
+    def objective_config(self) -> ObjectiveConfig:
+        return ObjectiveConfig(mu=self.mu, surrogate=self.surrogate, alpha=self.alpha, kT=self.kT)
 
     def optimizer_config(self) -> OptimizerConfig:
         return OptimizerConfig(seed=self.seed, restarts=self.restarts)
@@ -286,8 +290,9 @@ def _write_trajectories_csv(
     path.write_text("\n".join(lines) + "\n")
 
 
-def run_optimize(cfg: ExperimentConfig) -> int:
-    out_dir = Path(cfg.output_dir)
+def run_optimize(
+    cfg: ExperimentConfig, result_path: Path, pulses_path: Path, trajectories_path: Path
+) -> int:
     chain = cfg.chain()
 
     start = time.perf_counter()
@@ -311,10 +316,10 @@ def run_optimize(cfg: ExperimentConfig) -> int:
         "line_search_failed": result.line_search_failed,
         "evaluations": result.evaluations,
     }
-    _write_json(out_dir / "result.json", payload)
-    _write_pulses_csv(out_dir / "pulses.csv", result.best_seq)
+    _write_json(result_path, payload)
+    _write_pulses_csv(pulses_path, result.best_seq)
     bloch = bloch_trajectories(chain, result.best_seq, cfg.initial_state)
-    _write_trajectories_csv(out_dir / "trajectories.csv", bloch, cfg.dt)
+    _write_trajectories_csv(trajectories_path, bloch, cfg.dt)
 
     print(
         f"{cfg.target}: F={result.fidelity:.6f} P={result.penalty:.6f} "
@@ -332,13 +337,10 @@ def run_optimize(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def run_robustness(cfg: ExperimentConfig) -> int:
-    out_dir = Path(cfg.output_dir)
-
+def run_robustness(cfg: ExperimentConfig, report_path: Path) -> int:
     start = time.perf_counter()
     report = robustness_experiment(
         cfg.gate(),
-        cfg.mu,
         cfg.chain(),
         cfg.seq_template(),
         cfg.objective_config(),
@@ -360,7 +362,7 @@ def run_robustness(cfg: ExperimentConfig) -> int:
         "penalty_mu1": report.result_mu1.penalty,
         "penalty_muL": report.result_muL.penalty,
     }
-    _write_json(out_dir / "robustness.json", payload)
+    _write_json(report_path, payload)
 
     print(
         f"{cfg.target}: env dist mu=1 {report.dist_env_mu1:.6f} vs "
@@ -384,9 +386,14 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(f"error: output directory {cfg.output_dir!r}: {e.strerror}", file=sys.stderr)
         return 2
+    paths = [Path(cfg.output_dir) / name for name in OUTPUT_FILES[args.command]]
+    for path in paths:
+        if path.is_dir():
+            print(f"error: output file {str(path)!r} is a directory", file=sys.stderr)
+            return 2
     if args.command == "run":
-        return run_optimize(cfg)
-    return run_robustness(cfg)
+        return run_optimize(cfg, *paths)
+    return run_robustness(cfg, *paths)
 
 
 if __name__ == "__main__":

@@ -22,6 +22,8 @@ qubits (1/4/6/4/1 at N=4, 1/5/10/10/5/1 with the environment qubit). These
 blocks are the only matrices that are diagonalized (``eigh_stack``), and the
 eigenvectors stay factored as V = D R with R real, so that each slice
 propagator is formed from real products. No dense slice Hamiltonian is built.
+The blocks depend only on the chain length and the environment flag
+(``slice_operators``); the kernel scales the star blocks by gamma itself.
 
 Conventions: spin operators are the bare Pauli matrices, and qubit 1 is the
 most significant bit of a basis index (an environment qubit is the last).
@@ -183,13 +185,6 @@ def _exchange_sum(pairs, n_qubits: int) -> np.ndarray:
     return sum((2.0 * _permutation(_swap(n_qubits, i, j)) - eye for i, j in pairs), 0.0 * eye)
 
 
-def drift_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """Unit isotropic nearest-neighbour Heisenberg coupling, a real matrix;
-    zero for a single site."""
-    n = spec.n_sites
-    return _exchange_sum([(i, i + 1) for i in range(1, n)], n)
-
-
 def _sector_basis(weight: np.ndarray) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
     """Real orthogonal basis of the total-Sx sectors, and its column groups.
 
@@ -247,21 +242,20 @@ class SliceOperators:
     drift: tuple[np.ndarray, ...]
     field: tuple[np.ndarray, ...]
     star: tuple[np.ndarray, ...] | None
-    gamma: float
 
 
-@functools.lru_cache
-def slice_operators(spec: ChainSpec) -> SliceOperators:
-    """Operators of the ``SliceKernel`` of ``spec``; the environment qubit
-    is appended last when ``spec.env_enabled`` is set.
+@functools.cache
+def slice_operators(n_sites: int, env_enabled: bool) -> SliceOperators:
+    """Operators of the slice kernel of an ``n_sites`` chain; the environment
+    qubit is appended last when ``env_enabled`` is set. They do not depend on
+    the coupling strength gamma, which the kernel applies.
 
-    Built once per spec and shared by every caller, so the arrays are
-    read-only."""
-    n = spec.n_sites
-    n_qubits = n + 1 if spec.env_enabled else n
-    drift = _exchange_sum([(i, i + 1) for i in range(1, n)], n_qubits)
+    Built once per chain length and environment flag and shared by every
+    caller, so the arrays are read-only."""
+    n_qubits = n_sites + 1 if env_enabled else n_sites
+    drift = _exchange_sum([(i, i + 1) for i in range(1, n_sites)], n_qubits)
     star = None
-    if spec.env_enabled:
+    if env_enabled:
         star = _exchange_sum([(i, n_qubits) for i in range(1, n_qubits)], n_qubits)
     weight = ((np.arange(2**n_qubits)[:, None] >> np.arange(n_qubits)) & 1).sum(axis=1)
     basis, groups = _sector_basis(weight)
@@ -271,7 +265,6 @@ def slice_operators(spec: ChainSpec) -> SliceOperators:
         drift=_sector_blocks(basis, groups, drift),
         field=_sector_blocks(basis, groups, _permutation(_flip(n_qubits, 1))),
         star=None if star is None else _sector_blocks(basis, groups, star),
-        gamma=spec.gamma,
     )
     for a in (ops.basis, ops.m, *ops.drift, *ops.field, *(ops.star or ())):
         a.setflags(write=False)
@@ -287,6 +280,8 @@ def eigh_stack(h_stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class SliceKernel:
     """The slice kernel of a chain for ``n`` slices, and the arrays it fills.
 
+    It shares the chain's ``slice_operators`` with every other kernel of the
+    same chain length and environment flag, and keeps the spec's ``gamma``.
     The arrays are allocated once, here, and every ``run(hx, hy, dt)``
     overwrites them in place:
 
@@ -304,7 +299,8 @@ class SliceKernel:
     """
 
     def __init__(self, spec: ChainSpec, n: int):
-        self.ops = slice_operators(spec)
+        self.ops = slice_operators(spec.n_sites, spec.env_enabled)
+        self.gamma = spec.gamma
         self.n, self.dim = int(n), self.ops.m.size
         n, dim = self.n, self.dim
         self.evals = np.empty((n, dim))
@@ -339,7 +335,7 @@ class SliceKernel:
         r = np.hypot(hx, hy)
         self.phi[...] = np.where(r > 0.0, np.arctan2(hy, hx), 0.0)
         np.exp(-0.5j * self.phi[:, None] * ops.m, out=self.phase)
-        s = ops.gamma * (np.abs(hx) + np.abs(hy))
+        s = self.gamma * (np.abs(hx) + np.abs(hy))
         # Each group's blocks and star term are built in stage, which is free
         # until the forward stage and holds two stacks of n*dim^2 entries, and
         # one group has at most n*dim^2. The blocks are exactly symmetric, as

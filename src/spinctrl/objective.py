@@ -3,10 +3,12 @@ functional being minimized, and its exact gradient.
 
 The absolute value inside the penalty is non-smooth at zero, so three
 interchangeable stand-ins for d|x|/dx are provided: the hard sign, a
-fractional-derivative power law, and a Fermi-Dirac (tanh) step. The
-optimizer minimizes the functional whose penalty uses the matching smoothed
-absolute value, which makes the analytic gradient exact; reported fidelity,
-penalty and functional values always use the true absolute value.
+fractional-derivative power law, and a Fermi-Dirac (tanh) step.
+``surrogate_abs`` returns each one together with the smoothed absolute value
+it is the derivative of, and the optimizer minimizes the functional whose
+penalty uses that smoothed value, which makes the analytic gradient exact;
+reported fidelity, penalty and functional values always use the true
+absolute value.
 """
 
 from __future__ import annotations
@@ -70,40 +72,27 @@ def penalty(seq: ControlSequence) -> float:
     return float(np.sum(np.abs(seq.pulse_vector())) / (2.0 * seq.n * seq.bound))
 
 
-def surrogate_abs_derivative(x, cfg: ObjectiveConfig):
-    """Configured stand-in for d|x|/dx, elementwise on arrays.
+def surrogate_abs(x, cfg: ObjectiveConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The configured smoothed |x| and its slope, the stand-in for d|x|/dx,
+    elementwise:
 
-    signum:      sgn(x)
-    fractional:  sgn(x) * |x|**(1-alpha) / gamma(2-alpha)
-    fermi_dirac: 2*(0.5 - 1/(exp(x/kT)+1)) == tanh(x/(2*kT))
+    signum:      |x|, sgn(x)
+    fractional:  |x|**p / (p*gamma(p)), sgn(x) * |x|**(1-alpha) / gamma(p),
+                 with p = 2 - alpha (slightly super-linear)
+    fermi_dirac: 2*kT*log(cosh(x/(2*kT))) (softplus-like),
+                 tanh(x/(2*kT)) == 2*(0.5 - 1/(exp(x/kT)+1))
     """
-    arr = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     if cfg.surrogate == "signum":
-        out = np.sign(arr)
-    elif cfg.surrogate == "fractional":
-        out = np.sign(arr) * np.abs(arr) ** (1.0 - cfg.alpha) / math.gamma(2.0 - cfg.alpha)
-    else:
-        out = np.tanh(arr / (2.0 * cfg.kT))
-    return out if arr.ndim else float(out)
-
-
-def surrogate_abs(x, cfg: ObjectiveConfig):
-    """Smoothed |x| whose derivative is ``surrogate_abs_derivative``.
-
-    signum integrates back to |x| itself, fractional to a slightly
-    super-linear power law, fermi_dirac to a softplus-like log-cosh.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    if cfg.surrogate == "signum":
-        out = np.abs(arr)
-    elif cfg.surrogate == "fractional":
+        return np.abs(x), np.sign(x)
+    if cfg.surrogate == "fractional":
         p = 2.0 - cfg.alpha
-        out = np.abs(arr) ** p / (p * math.gamma(p))
-    else:
-        # 2*kT*log(cosh(x/(2*kT))), written to avoid overflow in cosh
-        u = np.abs(arr) / (2.0 * cfg.kT)
-        out = 2.0 * cfg.kT * (u + np.log1p(np.exp(-2.0 * u)) - math.log(2.0))
-    return out if arr.ndim else float(out)
+        a, gamma_p = np.abs(x), math.gamma(p)
+        return a**p / (p * gamma_p), np.sign(x) * a ** (1.0 - cfg.alpha) / gamma_p
+    # log(cosh) written to avoid overflow in cosh
+    two_kt = 2.0 * cfg.kT
+    u = np.abs(x) / two_kt
+    return two_kt * (u + np.log1p(np.exp(-2.0 * u)) - math.log(2.0)), np.tanh(x / two_kt)
 
 
 class PulseObjective:
@@ -146,9 +135,6 @@ class PulseObjective:
         self._ut_dag = target_unitary(target).conj().T
         self._kernel = SliceKernel(spec, self.n)
         self._work = np.empty((self.n, self.dim, self.dim), dtype=np.complex128)
-
-    def sequence(self, x: np.ndarray) -> ControlSequence:
-        return ControlSequence.from_vector(x, self.dt, self.bound)
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         n, dt, dim, cfg = self.n, self.dt, self.dim, self.cfg
@@ -223,13 +209,9 @@ class PulseObjective:
             dfid_x = np.real(np.conj(z) * tx) * scale
             dfid_y = np.real(np.conj(z) * ty) * scale
 
+        smoothed, slope = surrogate_abs(x, cfg)
         pen_scale = (1.0 - cfg.mu) / (2.0 * n * self.bound)
-        grad = np.concatenate(
-            [
-                pen_scale * surrogate_abs_derivative(hx, cfg) - cfg.mu * dfid_x,
-                pen_scale * surrogate_abs_derivative(hy, cfg) - cfg.mu * dfid_y,
-            ]
-        )
-        smoothed_pen = float(np.sum(surrogate_abs(x, cfg)) / (2.0 * n * self.bound))
+        grad = pen_scale * slope - cfg.mu * np.concatenate([dfid_x, dfid_y])
+        smoothed_pen = float(np.sum(smoothed) / (2.0 * n * self.bound))
         value = (1.0 - cfg.mu) * smoothed_pen - cfg.mu * fid
         return value, grad

@@ -270,7 +270,7 @@ def optimize_controls(
         rng = np.random.default_rng(children[r])
         x0 = rng.uniform(-amplitude, amplitude, 2 * seq_template.n)
         x, info = bfgs_minimize(po.value_and_grad, x0, seq_template.bound, opt_cfg)
-        seq = po.sequence(x)
+        seq = ControlSequence.from_vector(x, seq_template.dt, seq_template.bound)
         fid = fidelity(u_target, propagate(spec, seq))
         pen = penalty(seq)
         g_true = (1.0 - obj_cfg.mu) * pen - obj_cfg.mu * fid

@@ -9,7 +9,7 @@ kernel moved to symmetry sectors.
 import numpy as np
 
 from spinctrl.model import target_unitary
-from spinctrl.objective import GRAD_PHASE_EPSILON, surrogate_abs, surrogate_abs_derivative
+from spinctrl.objective import GRAD_PHASE_EPSILON, surrogate_abs
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -93,12 +93,8 @@ def dense_value_and_grad(spec, target, dt, bound, cfg, x):
         dfid_x = np.real(np.conj(z) * tx) / (abs(z) * dim)
         dfid_y = np.real(np.conj(z) * ty) / (abs(z) * dim)
 
+    smoothed, slope = surrogate_abs(x, cfg)
     pen_scale = (1.0 - cfg.mu) / (2.0 * n * bound)
-    grad = np.concatenate(
-        [
-            pen_scale * surrogate_abs_derivative(hx, cfg) - cfg.mu * dfid_x,
-            pen_scale * surrogate_abs_derivative(hy, cfg) - cfg.mu * dfid_y,
-        ]
-    )
-    value = (1.0 - cfg.mu) * np.sum(surrogate_abs(x, cfg)) / (2.0 * n * bound) - cfg.mu * fid
+    grad = pen_scale * slope - cfg.mu * np.concatenate([dfid_x, dfid_y])
+    value = (1.0 - cfg.mu) * np.sum(smoothed) / (2.0 * n * bound) - cfg.mu * fid
     return value, grad

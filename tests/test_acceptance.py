@@ -99,7 +99,7 @@ def test_table_ordering():
         cfg = ObjectiveConfig(mu=0.2, surrogate="fermi_dirac")
         for seed in (0, 1, 2):
             rep = robustness_experiment(
-                target, 0.2, chain, tmpl, cfg, OptimizerConfig(seed=seed, restarts=2)
+                target, chain, tmpl, cfg, OptimizerConfig(seed=seed, restarts=2)
             )
             for d in (rep.dist_no_env_mu1, rep.dist_no_env_muL, rep.dist_env_mu1, rep.dist_env_muL):
                 assert 0.0 <= d <= 2.0 + 1e-12

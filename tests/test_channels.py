@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import SX
+from dense_reference import SX, dense_operators
 from spinctrl import linalg
 from spinctrl.channels import (
     ChoiMatrix,
@@ -17,7 +17,6 @@ from spinctrl.model import (
     ChainSpec,
     ControlSequence,
     TargetGate,
-    drift_hamiltonian,
     propagate,
     propagate_with_env,
     target_unitary,
@@ -135,7 +134,7 @@ class TestChoiOfEnvChannel:
         env_spec = ChainSpec(n_sites=2, env_enabled=True, gamma=0.3)
         seq = ControlSequence.zeros(4, 0.2, 10.0)
         a = choi_of_env_channel(env_spec, seq)
-        drift_u = scipy.linalg.expm(-1j * 4 * 0.2 * drift_hamiltonian(ChainSpec(n_sites=2)))
+        drift_u = scipy.linalg.expm(-1j * 4 * 0.2 * dense_operators(ChainSpec(n_sites=2))[0])
         b = choi_of_unitary(drift_u)
         assert np.max(np.abs(a.matrix - b.matrix)) < 1e-10
 
@@ -217,7 +216,7 @@ class TestRobustness:
         tmpl = ControlSequence.zeros(8, 0.2, 20.0)
         cfg = ObjectiveConfig(mu=0.3, surrogate="fermi_dirac")
         report = robustness_experiment(
-            target, 0.3, chain, tmpl, cfg, OptimizerConfig(seed=1, restarts=1)
+            target, chain, tmpl, cfg, OptimizerConfig(seed=1, restarts=1)
         )
         assert abs(report.dist_env_mu1 - report.dist_no_env_mu1) < 1e-9
         assert abs(report.dist_env_muL - report.dist_no_env_muL) < 1e-9
@@ -228,6 +227,17 @@ class TestRobustness:
             report.dist_env_muL,
         ):
             assert 0.0 <= d <= 2.0
+
+    def test_experiment_requires_penalized_mu(self):
+        # the mu < 1 leg runs at obj_cfg.mu, so mu = 1 leaves no penalized leg
+        with pytest.raises(ValueError):
+            robustness_experiment(
+                TargetGate("NOT", 2),
+                ChainSpec(n_sites=2),
+                ControlSequence.zeros(4, 0.2, 20.0),
+                ObjectiveConfig(mu=1.0),
+                OptimizerConfig(seed=1, restarts=1),
+            )
 
 
 class TestChoiInvariants:

@@ -233,6 +233,22 @@ def test_bound_below_half_runs(tmp_path, command, outputs):
         assert max(abs(h) for h in pulses["hx"] + pulses["hy"]) <= 0.3
 
 
+@pytest.mark.parametrize(
+    "command, taken", [("run", "trajectories.csv"), ("robustness", "robustness.json")],
+    ids=["run", "robustness"],
+)
+def test_output_file_held_by_a_directory_exits_2_without_files(tmp_path, command, taken):
+    # checked before any work, so no other output file is left behind
+    (tmp_path / taken).mkdir()
+    code = main(
+        [command, "--target", "not3", "--n-pulses", "2", "--restarts", "1",
+         "--output-dir", str(tmp_path)]
+    )
+    assert code == 2
+    assert [p.name for p in tmp_path.iterdir()] == [taken]
+    assert not any((tmp_path / taken).iterdir())
+
+
 NUMERIC_FIELDS = [f.name for f in fields(ExperimentConfig) if f.metadata["kind"] in (int, float)]
 
 
@@ -254,6 +270,10 @@ NON_FINITE_CASES = [
         ("dt", "1e300"),
         ("bound", "1e-300", "signum"),
         ("bound", "1e-160", "fractional"),
+        # The Fermi-Dirac stand-in divides |h| <= bound by 2*kT, which
+        # overflows, or multiplies by 2*kT, which is inf.
+        ("kT", "1e-320"),
+        ("kT", "1e308"),
     ]
 ]
 
@@ -289,12 +309,19 @@ class TestEntryPoint:
 
 
 @pytest.mark.parametrize(
-    "flags", [["--dt", "1e153"], ["--surrogate", "signum", "--bound", "1e-150"]],
-    ids=["dt_1e153", "signum_bound_1e-150"],
+    "flags",
+    [
+        ["--dt", "1e153"],
+        ["--surrogate", "signum", "--bound", "1e-150"],
+        ["--kt", "1e-300"],
+        ["--kt", "1e307"],
+    ],
+    ids=["dt_1e153", "signum_bound_1e-150", "kt_1e-300", "kt_1e307"],
 )
 def test_large_but_finite_gradient_scale_runs(tmp_path, flags):
-    # 2 * n_pulses * (dt + 1/(n_pulses * min(bound, 1)))^2 is finite here, so the
-    # config check admits these runs, and they finish without an overflow warning.
+    # 2 * n_pulses * (dt + 1/(n_pulses * min(bound, 1)))^2, bound / (2 * kT) and
+    # 2 * kT are finite here, so the config check admits these runs, and they
+    # finish without an overflow warning.
     code = main(["run", "--target", "not3", "--n-pulses", "4", "--restarts", "1",
                  "--output-dir", str(tmp_path), *flags])
     assert code == 0

@@ -6,13 +6,22 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import I2, SX, SY, SZ, dense_slice_hamiltonians, kron_chain, on_sites
+from dense_reference import (
+    I2,
+    SX,
+    SY,
+    SZ,
+    dense_operators,
+    dense_slice_hamiltonians,
+    kron_chain,
+    on_sites,
+)
 from spinctrl.model import (
     ChainSpec,
     ControlSequence,
     TargetGate,
+    _exchange_sum,
     bloch_trajectories,
-    drift_hamiltonian,
     propagate,
     SliceKernel,
     propagate_with_env,
@@ -48,7 +57,7 @@ def one_slice(spec, hx, hy):
 def control_part(hx, hy, n_sites):
     """The kernel's slice Hamiltonian minus the drift: the field on site 1."""
     spec = ChainSpec(n_sites=n_sites)
-    return one_slice(spec, hx, hy) - drift_hamiltonian(spec)
+    return one_slice(spec, hx, hy) - dense_operators(spec)[0]
 
 
 def oracle_control_part(hx, hy, n_sites):
@@ -138,12 +147,18 @@ class TestSpecs:
             TargetGate("NOT", True)
 
 
+def chain_drift(n_sites):
+    """The drift as ``slice_operators`` builds it: the exchange sum over the
+    nearest-neighbour pairs."""
+    return _exchange_sum([(i, i + 1) for i in range(1, n_sites)], n_sites)
+
+
 class TestDriftHamiltonian:
     def test_single_site_is_zero(self):
-        assert np.array_equal(drift_hamiltonian(ChainSpec(n_sites=1)), np.zeros((2, 2)))
+        assert np.array_equal(chain_drift(1), np.zeros((2, 2)))
 
     def test_two_site_spectrum(self):
-        evals = np.linalg.eigvalsh(drift_hamiltonian(ChainSpec(n_sites=2)))
+        evals = np.linalg.eigvalsh(chain_drift(2))
         assert np.allclose(np.sort(evals), [-3.0, 1.0, 1.0, 1.0])
 
     @pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
@@ -154,7 +169,16 @@ class TestDriftHamiltonian:
         for i in range(1, n_sites):
             for s in (SX, SY, SZ):
                 expected += on_sites(n_sites, {i: s, i + 1: s})
-        assert np.array_equal(drift_hamiltonian(ChainSpec(n_sites=n_sites)), expected)
+        assert np.array_equal(chain_drift(n_sites), expected)
+
+    @pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
+    def test_star_term_by_term(self, n_sites):
+        # the star coupling of every chain site to the environment qubit N+1,
+        # as slice_operators builds it, against the explicit Kronecker sum
+        q = n_sites + 1
+        star = _exchange_sum([(i, q) for i in range(1, q)], q)
+        expected = dense_operators(ChainSpec(n_sites=n_sites, env_enabled=True))[3]
+        assert np.array_equal(star, expected)
 
 
 class TestSliceEigensystem:
@@ -180,7 +204,7 @@ class TestSliceEigensystem:
     def test_sector_sizes_and_real_blocks(self, env):
         # sectors of total Sx on q qubits have C(q, k) states, k = 0..q
         for n_sites in range(1, 5):
-            ops = slice_operators(ChainSpec(n_sites=n_sites, env_enabled=env))
+            ops = slice_operators(n_sites, env)
             q = n_sites + env
             sizes = sorted(b.shape[1] for b in ops.drift for _ in range(b.shape[0]))
             assert sizes == sorted(math.comb(q, k) for k in range(q + 1))
@@ -200,7 +224,7 @@ class TestSliceEigensystem:
         # basis, vanishes between columns of different total Sx
         spec = ChainSpec(n_sites=n_sites, env_enabled=env, gamma=gamma)
         q = n_sites + env
-        basis = slice_operators(spec).basis
+        basis = slice_operators(n_sites, env).basis
         sx_total = basis.T @ sum(on_sites(q, {k: SX}) for k in range(1, q + 1)).real @ basis
         assert np.max(np.abs(sx_total - np.diag(np.diag(sx_total)))) < 1e-12
         sector = np.round(np.diag(sx_total))
@@ -216,7 +240,7 @@ class TestSliceEigensystem:
         hx, hy = np.array(EDGE_SLICES + rng.uniform(-3.0, 3.0, (6, 2)).tolist()).T
         for n_sites in range(1, 5):
             spec = ChainSpec(n_sites=n_sites, env_enabled=env, gamma=0.3)
-            ops = slice_operators(spec)
+            ops = slice_operators(n_sites, env)
             count, size = ops.drift[0].shape[:2]
             assert (count, size) == (2, 1)
             entries = np.hypot(hx, hy)[:, None] * ops.field[0][:, 0, 0] + ops.drift[0][:, 0, 0]
@@ -230,8 +254,11 @@ class TestSliceEigensystem:
 
     @pytest.mark.parametrize("env", [False, True])
     def test_operators_built_once_and_read_only(self, env):
-        ops = slice_operators(ChainSpec(n_sites=3, env_enabled=env))
-        assert slice_operators(ChainSpec(n_sites=3, env_enabled=env)) is ops
+        ops = slice_operators(3, env)
+        assert slice_operators(3, env) is ops
+        # gamma enters the kernel, not the operators it shares
+        for gamma in (0.0, 0.1, 0.3):
+            assert SliceKernel(ChainSpec(n_sites=3, env_enabled=env, gamma=gamma), 2).ops is ops
         # one group per distinct sector size: {1, 3} on 3 qubits, {1, 4, 6} on 4
         assert len(ops.drift) == len(ops.field) == 2 + env
         for a in (ops.basis, ops.m, *ops.drift, *ops.field, *(ops.star if env else ())):
@@ -257,7 +284,7 @@ class TestControlHamiltonian:
 class TestEnvHamiltonian:
     def test_requires_env(self):
         # the environment qubit and its coupling appear only when enabled
-        ops = slice_operators(ChainSpec(n_sites=2, gamma=0.3))
+        ops = slice_operators(2, False)
         assert ops.star is None
         assert ops.basis.shape == (4, 4) and sum(b.shape[0] * b.shape[1] for b in ops.drift) == 4
         kernel = SliceKernel(ChainSpec(n_sites=2, gamma=0.3), 1)
@@ -267,7 +294,7 @@ class TestEnvHamiltonian:
 
     def test_zero_pulses_decouple(self):
         spec = ChainSpec(n_sites=2, env_enabled=True, gamma=0.3)
-        expected = np.kron(drift_hamiltonian(ChainSpec(n_sites=2)), I2)
+        expected = np.kron(dense_operators(ChainSpec(n_sites=2))[0], I2)
         assert np.allclose(one_slice(spec, 0.0, 0.0), expected, atol=1e-14)
 
     def test_gamma_zero_decouples(self):
@@ -299,9 +326,10 @@ class TestPropagate:
         rng = np.random.default_rng(101)
         spec = ChainSpec(n_sites=2)
         seq = random_seq(rng, 5)
+        drift, sx1, sy1, _ = dense_operators(spec)
         u = np.eye(4, dtype=complex)
         for hx, hy in zip(seq.hx, seq.hy):
-            h = drift_hamiltonian(spec) + hx * kron_chain(SX, I2) + hy * kron_chain(SY, I2)
+            h = drift + hx * sx1 + hy * sy1
             u = scipy.linalg.expm(-1j * seq.dt * h) @ u
         assert np.allclose(propagate(spec, seq), u, atol=1e-10)
 
@@ -395,7 +423,7 @@ class TestPropagateWithEnv:
     def test_zero_pulses_drift_only(self):
         spec = ChainSpec(n_sites=2, env_enabled=True, gamma=0.2)
         seq = ControlSequence.zeros(5, 0.2, 10.0)
-        drift_u = scipy.linalg.expm(-1j * 5 * 0.2 * drift_hamiltonian(ChainSpec(n_sites=2)))
+        drift_u = scipy.linalg.expm(-1j * 5 * 0.2 * dense_operators(ChainSpec(n_sites=2))[0])
         assert np.allclose(propagate_with_env(spec, seq), np.kron(drift_u, I2), atol=1e-10)
 
     def test_matches_expm_oracle(self):

@@ -11,7 +11,6 @@ from spinctrl.objective import (
     fidelity,
     penalty,
     surrogate_abs,
-    surrogate_abs_derivative,
 )
 from spinctrl.optimizer import (
     OptimizerConfig,
@@ -59,7 +58,7 @@ class TestBfgsMinimize:
         obj_cfg = ObjectiveConfig(mu=0.5, surrogate="fermi_dirac")
 
         def surrogate(x):
-            return surrogate_abs_derivative(float(x), obj_cfg)
+            return surrogate_abs(float(x), obj_cfg)[1]
 
         lo, hi = -1.0, 1.0
         for _ in range(60):
@@ -72,7 +71,7 @@ class TestBfgsMinimize:
         assert abs(root) < 1e-12
 
         def f(x):
-            return float(surrogate_abs(x[0], obj_cfg))
+            return float(surrogate_abs(x[0], obj_cfg)[0])
 
         def g(x):
             return np.array([surrogate(x[0])])
