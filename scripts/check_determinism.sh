@@ -40,3 +40,5 @@ check bounded4 "result.json pulses.csv" \
   run --target swap4 --n-pulses 16 --bound 2 --mu 0.9 --restarts 1 --seed 1
 check robustness_gamma "robustness.json" \
   robustness --target not3 --n-pulses 8 --restarts 1 --seed 1 --gamma 0.3 --surrogate fractional
+check signum "result.json pulses.csv" \
+  run --target not3 --n-pulses 8 --restarts 1 --seed 1 --surrogate signum

@@ -213,9 +213,9 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if not path.is_file():
             raise ConfigError(f"config file {args.config!r} not found")
         try:
-            loaded = json.loads(path.read_text())
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file is not valid JSON: {e}") from None
+            loaded = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise ConfigError(f"config file is not readable JSON text: {e}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config file must contain a JSON object")
         unknown = set(loaded) - keys

@@ -1,5 +1,6 @@
-"""Box-constrained BFGS with a strong-Wolfe line search, plus a multi-restart
-driver for pulse optimization."""
+"""Box-constrained BFGS with a weak-Wolfe line search (the bracketing
+bisection of Lewis and Overton, 2013), plus a multi-restart driver for pulse
+optimization."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from .objective import ObjectiveConfig, PulseObjective, fidelity, penalty
 
 _CURVATURE_EPS = 1e-12
 _MAX_LINE_SEARCH_TRIALS = 50
-# Strong Wolfe constants: sufficient decrease and curvature.
+# Weak Wolfe constants: sufficient decrease and curvature.
 _WOLFE_C1 = 1e-4
 _WOLFE_C2 = 0.9
 _INIT_AMPLITUDE = 0.5
@@ -55,54 +56,34 @@ class BfgsInfo:
 
 
 def _wolfe_search(vag, point, p, f0, g0, a_max):
-    """Strong Wolfe line search over steps a in (0, a_max] along the ray
-    ``point(a)`` with direction ``p``: trials from min(1, a_max) double up to
-    ``a_max``, where a still-descending step is accepted, then bisection zoom.
-    Returns (x, f, g) at an acceptable step, or None after
-    ``_MAX_LINE_SEARCH_TRIALS`` function evaluations (counting both phases).
+    """Weak Wolfe line search over steps a in (0, a_max] along the ray
+    ``point(a)`` with direction ``p``, by the bracketing bisection of Lewis and
+    Overton (Math. Program. 141, 135-163, 2013). A step that fails sufficient
+    decrease bounds the bracket from above, one still too steep from below;
+    trials double from min(1, a_max) up to ``a_max`` until the bracket has an
+    upper end, then bisect it. A still-descending step at ``a_max`` is
+    accepted. Returns (x, f, g) at an acceptable step, or None after
+    ``_MAX_LINE_SEARCH_TRIALS`` evaluations or once the bracket has shrunk to
+    rounding.
     """
     d0 = float(g0 @ p)
-    trials = 0
-
-    def evaluate(a):
-        nonlocal trials
-        trials += 1
+    lo, hi = 0.0, math.inf
+    a = min(1.0, a_max)
+    for _ in range(_MAX_LINE_SEARCH_TRIALS):
         xa = point(a)
         fa, ga = vag(xa)
-        return xa, fa, ga, float(ga @ p)
-
-    a_prev, f_prev = 0.0, f0
-    a = min(1.0, a_max)
-    bracket = None
-    while trials < _MAX_LINE_SEARCH_TRIALS:
-        xa, fa, ga, da = evaluate(a)
-        if fa > f0 + _WOLFE_C1 * a * d0 or (a_prev > 0.0 and fa >= f_prev):
-            bracket = (a_prev, f_prev, a)
-            break
-        if abs(da) <= -_WOLFE_C2 * d0 or (da < 0.0 and a >= a_max):
-            return xa, fa, ga
-        if da >= 0.0:
-            bracket = (a, fa, a_prev)
-            break
-        a_prev, f_prev = a, fa
-        a = min(2.0 * a, a_max)
-    if bracket is None:
-        return None
-
-    lo, f_lo, hi = bracket
-    while trials < _MAX_LINE_SEARCH_TRIALS:
-        if abs(hi - lo) <= 1e-16 * max(1.0, abs(lo), abs(hi)):
-            return None
-        a = 0.5 * (lo + hi)
-        xa, fa, ga, da = evaluate(a)
-        if fa > f0 + _WOLFE_C1 * a * d0 or fa >= f_lo:
+        if fa > f0 + _WOLFE_C1 * a * d0:
             hi = a
+        elif float(ga @ p) < _WOLFE_C2 * d0 and a < a_max:
+            lo = a
         else:
-            if abs(da) <= -_WOLFE_C2 * d0:
-                return xa, fa, ga
-            if da * (hi - lo) >= 0.0:
-                hi = lo
-            lo, f_lo = a, fa
+            return xa, fa, ga
+        if hi == math.inf:
+            a = min(2.0 * a, a_max)
+        elif hi - lo <= 1e-16 * hi:
+            return None
+        else:
+            a = 0.5 * (lo + hi)
     return None
 
 

@@ -249,6 +249,17 @@ def test_output_file_held_by_a_directory_exits_2_without_files(tmp_path, command
     assert not any((tmp_path / taken).iterdir())
 
 
+@pytest.mark.parametrize("command", ["run", "robustness"])
+def test_config_file_not_utf8_exits_2_without_files(tmp_path, command, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_bytes(b"\xff\xfe")
+    out = tmp_path / "out"
+    code = main([command, "--target", "not3", "--config", str(cfg_file), "--output-dir", str(out)])
+    assert code == 2
+    assert "config file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 NUMERIC_FIELDS = [f.name for f in fields(ExperimentConfig) if f.metadata["kind"] in (int, float)]
 
 

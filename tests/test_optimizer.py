@@ -13,8 +13,12 @@ from spinctrl.objective import (
     surrogate_abs,
 )
 from spinctrl.optimizer import (
+    _MAX_LINE_SEARCH_TRIALS,
+    _WOLFE_C1,
+    _WOLFE_C2,
     OptimizerConfig,
     _bfgs_update,
+    _wolfe_search,
     bfgs_minimize,
     optimize_controls,
 )
@@ -164,9 +168,10 @@ class TestBfgsMinimize:
         assert max(np.max(np.abs(p)) for p in evaluated) <= bound
 
     def test_line_search_failure_flagged(self):
-        # |x| with the hard sign gradient: the strong Wolfe curvature
-        # condition is unsatisfiable across the kink, so the search must give
-        # up and return the best point so far with the failure flagged
+        # |x| with the hard sign gradient: each weak Wolfe step crosses or
+        # nears the kink, so the iterates close in on 0 until sufficient
+        # decrease fails at rounding scale; the search then gives up and the
+        # run returns its best point with the failure flagged
         def f(x):
             return float(np.abs(x[0]))
 
@@ -177,6 +182,7 @@ class TestBfgsMinimize:
         assert info.line_search_failed
         assert not info.converged
         assert f(x) <= 0.7  # never worse than the start
+        assert abs(x[0]) < 1e-12
 
     @pytest.mark.parametrize("dim", [7, 64])
     def test_update_is_bfgs_inverse_update(self, dim):
@@ -237,6 +243,75 @@ class TestBfgsMinimize:
             OptimizerConfig(restarts=1.5)
         with pytest.raises(ValueError):
             OptimizerConfig(max_iters=2.5)
+
+
+def convex_quadratic(dim, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim))
+    a = m @ m.T + np.eye(dim)
+    c = rng.normal(size=dim)
+    return lambda x: (float(0.5 * (x - c) @ a @ (x - c)), a @ (x - c))
+
+
+def double_well(x):
+    # non-convex in 1-D: minima near -1.3 and 1.1, a maximum near 0.2
+    t = x[0]
+    return float(t**4 - 3.0 * t**2 + t), np.array([4.0 * t**3 - 6.0 * t + 1.0])
+
+
+class TestWolfeSearch:
+    # (objective, start, direction scale, a_max): the steepest-descent
+    # direction scaled so the first trial of 1 is too long, too short, or
+    # beyond the cap
+    CASES = {
+        "quadratic_long": (convex_quadratic(5, 0), np.zeros(5), 1.0, np.inf),
+        "quadratic_short": (convex_quadratic(5, 1), np.zeros(5), 1e-3, np.inf),
+        "quadratic_capped": (convex_quadratic(5, 2), np.zeros(5), 1e-3, 0.5),
+        "double_well_long": (double_well, np.array([2.0]), 1.0, np.inf),
+        "double_well_short": (double_well, np.array([-0.3]), 1e-2, np.inf),
+        "double_well_capped": (double_well, np.array([0.5]), 0.05, 0.4),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_step_satisfies_weak_wolfe_or_sits_at_cap(self, case):
+        vag, x0, scale, a_max = self.CASES[case]
+        f0, g0 = vag(x0)
+        p = -scale * g0
+        d0 = float(g0 @ p)
+        steps = []
+
+        def point(a):
+            steps.append(a)
+            return x0 + a * p
+
+        result = _wolfe_search(vag, point, p, f0, g0, a_max)
+        assert result is not None
+        x, f, g = result
+        a = steps[-1]
+        assert np.array_equal(x, x0 + a * p)
+        assert 0.0 < a <= a_max
+        assert f <= f0 + _WOLFE_C1 * a * d0
+        assert float(g @ p) >= _WOLFE_C2 * d0 or (a == a_max and float(g @ p) < 0.0)
+        if case.endswith("capped"):
+            assert a == a_max
+            assert float(g @ p) < _WOLFE_C2 * d0
+
+    def test_gives_up_within_the_trial_cap(self):
+        # a wrong-signed gradient: no step along p decreases f
+        def vag(x):
+            return float(x[0] ** 2), np.array([-2.0 * x[0]])
+
+        x0 = np.array([1.0])
+        f0, g0 = vag(x0)
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return vag(x)
+
+        p = -g0
+        assert _wolfe_search(counted, lambda a: x0 + a * p, p, f0, g0, np.inf) is None
+        assert 0 < len(calls) <= _MAX_LINE_SEARCH_TRIALS
 
 
 class TestOptimizeControls:
