@@ -42,3 +42,5 @@ check robustness_gamma "robustness.json" \
   robustness --target not3 --n-pulses 8 --restarts 1 --seed 1 --gamma 0.3 --surrogate fractional
 check signum "result.json pulses.csv" \
   run --target not3 --n-pulses 8 --restarts 1 --seed 1 --surrogate signum
+check swap3 "result.json pulses.csv trajectories.csv" \
+  run --target swap3 --n-pulses 32 --restarts 1 --seed 1

@@ -16,8 +16,6 @@ import time
 from dataclasses import MISSING, Field, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from .channels import robustness_experiment
 from .model import ChainSpec, ControlSequence, TargetGate, bloch_trajectories
 from .objective import SURROGATES, ObjectiveConfig
@@ -228,65 +226,12 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**merged)
 
 
-def _format_float(x: float) -> str:
-    """Fixed 17-significant-digit decimal, exact on float64 round-trip."""
-    s = format(float(x), ".17g")
-    if not any(c in s for c in ".eE"):
-        s += ".0"
-    return s
-
-
-def _to_json(obj, indent: int = 0) -> str:
-    """Canonical JSON: insertion-ordered keys, floats at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner}"{k}": {_to_json(v, indent + 1)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_to_json(v, indent + 1) for v in obj]
-        return "[" + ", ".join(items) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(obj)
-    if obj is None:
-        return "null"
-    return json.dumps(str(obj))
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(_to_json(payload) + "\n")
-
-
-def _write_pulses_csv(path: Path, seq: ControlSequence) -> None:
-    lines = ["index,t_start,hx,hy"]
-    for i in range(seq.n):
-        lines.append(
-            f"{i},{_format_float(i * seq.dt)},"
-            f"{_format_float(seq.hx[i])},{_format_float(seq.hy[i])}"
-        )
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_trajectories_csv(
-    path: Path, bloch: np.ndarray, dt: float
-) -> None:
-    lines = ["t,qubit,bx,by,bz"]
-    n_steps, n_qubits, _ = bloch.shape
-    for j in range(n_steps):
-        for q in range(n_qubits):
-            bx, by, bz = bloch[j, q]
-            lines.append(
-                f"{_format_float(j * dt)},{q + 1},"
-                f"{_format_float(bx)},{_format_float(by)},{_format_float(bz)}"
-            )
+def _write_csv(path: Path, header: str, rows) -> None:
+    """Ints as they are, floats in their shortest exact (round-trip) form;
+    float() first, since numpy 2 spells repr(np.float64(x)) "np.float64(x)"."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(str(x) if isinstance(x, int) else repr(float(x)) for x in row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -300,6 +245,7 @@ def run_optimize(
         chain, cfg.gate(), cfg.seq_template(), cfg.objective_config(), cfg.optimizer_config()
     )
     wall = time.perf_counter() - start
+    seq = result.best_seq
 
     payload = {
         "config": cfg.echo(),
@@ -309,17 +255,25 @@ def run_optimize(
         "iterations_used": result.iterations_used,
         "restart_index": result.restart_index,
         "pulses": {
-            "hx": list(result.best_seq.hx),
-            "hy": list(result.best_seq.hy),
+            "hx": list(seq.hx),
+            "hy": list(seq.hy),
         },
         "converged": result.converged,
         "line_search_failed": result.line_search_failed,
         "evaluations": result.evaluations,
     }
-    _write_json(result_path, payload)
-    _write_pulses_csv(pulses_path, result.best_seq)
-    bloch = bloch_trajectories(chain, result.best_seq, cfg.initial_state)
-    _write_trajectories_csv(trajectories_path, bloch, cfg.dt)
+    result_path.write_text(json.dumps(payload, indent=2) + "\n")
+    _write_csv(
+        pulses_path,
+        "index,t_start,hx,hy",
+        ((i, i * seq.dt, seq.hx[i], seq.hy[i]) for i in range(seq.n)),
+    )
+    bloch = bloch_trajectories(chain, seq, cfg.initial_state)
+    _write_csv(
+        trajectories_path,
+        "t,qubit,bx,by,bz",
+        ((j * cfg.dt, q + 1, *b) for j, qubits in enumerate(bloch) for q, b in enumerate(qubits)),
+    )
 
     print(
         f"{cfg.target}: F={result.fidelity:.6f} P={result.penalty:.6f} "
@@ -362,7 +316,7 @@ def run_robustness(cfg: ExperimentConfig, report_path: Path) -> int:
         "penalty_mu1": report.result_mu1.penalty,
         "penalty_muL": report.result_muL.penalty,
     }
-    _write_json(report_path, payload)
+    report_path.write_text(json.dumps(payload, indent=2) + "\n")
 
     print(
         f"{cfg.target}: env dist mu=1 {report.dist_env_mu1:.6f} vs "

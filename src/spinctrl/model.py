@@ -427,8 +427,7 @@ def bloch_trajectories(
     (n + 1, n_sites, 3) holding (<sx>, <sy>, <sz>) for each qubit, with row 0
     the initial state.
     """
-    label = initial_state.strip()
-    if len(label) != spec.n_sites or any(c not in "01" for c in label):
+    if len(initial_state) != spec.n_sites or any(c not in "01" for c in initial_state):
         raise ValueError(
             f"initial state {initial_state!r} is not a {spec.n_sites}-bit string"
         )
@@ -437,7 +436,7 @@ def bloch_trajectories(
     kernel = SliceKernel(spec, seq.n)
     kernel.run(seq.hx, seq.hy, seq.dt)
     # psi[j]: the state after the first j slices.
-    psi = kernel.fwd[:, :, int(label, 2)]
+    psi = kernel.fwd[:, :, int(initial_state, 2)]
     # flip[k, q - 1] is index k with qubit q flipped, and sign[k, q - 1] the sz
     # eigenvalue of qubit q in k: +1 where the flip raises the index. So
     # sx|k> = |flip>, sy|k> = i*sign|flip> and, with pair = conj(psi_k)*psi_flip,

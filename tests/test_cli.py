@@ -6,9 +6,17 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from spinctrl.cli import _RUN_ONLY, ExperimentConfig, main
-from spinctrl.model import ChainSpec, ControlSequence, TargetGate, propagate, target_unitary
+from spinctrl.cli import _RUN_ONLY, ExperimentConfig, build_parser, config_from_args, main
+from spinctrl.model import (
+    ChainSpec,
+    ControlSequence,
+    TargetGate,
+    bloch_trajectories,
+    propagate,
+    target_unitary,
+)
 from spinctrl.objective import fidelity, penalty
+from spinctrl.optimizer import optimize_controls
 
 
 def tiny_run_args(out_dir, **overrides):
@@ -63,6 +71,40 @@ class TestRunCommand:
         f = fidelity(target_unitary(TargetGate("NOT", 3)), u)
         assert abs(f - result["fidelity"]) < 1e-12
         assert abs(penalty(seq) - result["penalty"]) < 1e-12
+
+    def test_output_files_round_trip_exactly(self, tmp_path):
+        args = tiny_run_args(tmp_path)
+        assert main(args) == 0
+        cfg = config_from_args(build_parser().parse_args(args))
+        result = optimize_controls(
+            cfg.chain(), cfg.gate(), cfg.seq_template(), cfg.objective_config(),
+            cfg.optimizer_config(),
+        )
+        seq = result.best_seq
+        bloch = bloch_trajectories(cfg.chain(), seq, cfg.initial_state)
+
+        def assert_same_bits(parsed, expected):
+            # compared as bit patterns, so that -0.0 differs from 0.0
+            parsed = np.asarray(parsed, dtype=float)
+            expected = np.asarray(expected, dtype=float)
+            assert parsed.shape == expected.shape
+            assert np.array_equal(parsed.view(np.uint64), expected.view(np.uint64))
+
+        saved = json.loads((tmp_path / "result.json").read_text())
+        assert_same_bits(
+            [saved["fidelity"], saved["penalty"], saved["G"]],
+            [result.fidelity, result.penalty, result.G],
+        )
+        assert_same_bits(saved["pulses"]["hx"], seq.hx)
+        assert_same_bits(saved["pulses"]["hy"], seq.hy)
+        _, rows = read_csv(tmp_path / "pulses.csv")
+        assert_same_bits([[float(r[2]), float(r[3])] for r in rows], np.stack([seq.hx, seq.hy], 1))
+        _, rows = read_csv(tmp_path / "trajectories.csv")
+        assert_same_bits([[float(c) for c in r[2:]] for r in rows], bloch.reshape(-1, 3))
+        assert_same_bits(
+            [float(r[0]) for r in rows],
+            [j * cfg.dt for j in range(seq.n + 1) for _ in range(cfg.chain().n_sites)],
+        )
 
     def test_trajectory_rows(self, tmp_path):
         assert main(tiny_run_args(tmp_path)) == 0
@@ -165,8 +207,9 @@ class TestRunCommand:
 
     def test_initial_state_validation(self, tmp_path):
         out = tmp_path / "out"
-        assert main(tiny_run_args(out, initial_state="01")) == 2
-        assert not out.exists()
+        for label in ("01", " 000 "):
+            assert main(tiny_run_args(out, initial_state=label)) == 2
+            assert not out.exists()
 
     def test_penalty_drops_with_sparsity_weight(self, tmp_path):
         # paired runs: without the penalty term (mu=1) the pulses stay large
@@ -178,8 +221,6 @@ class TestRunCommand:
         assert results["0.2"] < results["1.0"]
 
     def test_target_derived_defaults(self):
-        from spinctrl.cli import build_parser, config_from_args
-
         parser = build_parser()
         for target, n_expected, mu_expected, state in (
             ("not3", 64, 0.2, "000"),

@@ -501,6 +501,8 @@ class TestBlochTrajectories:
         with pytest.raises(ValueError):
             bloch_trajectories(spec, seq, "0")
         with pytest.raises(ValueError):
+            bloch_trajectories(ChainSpec(n_sites=3), seq, " 000 ")
+        with pytest.raises(ValueError):
             bloch_trajectories(ChainSpec(n_sites=2, env_enabled=True), seq, "01")
 
 
