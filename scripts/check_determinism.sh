@@ -44,3 +44,7 @@ check signum "result.json pulses.csv" \
   run --target not3 --n-pulses 8 --restarts 1 --seed 1 --surrogate signum
 check swap3 "result.json pulses.csv trajectories.csv" \
   run --target swap3 --n-pulses 32 --restarts 1 --seed 1
+check not4 "result.json pulses.csv trajectories.csv" \
+  run --target not4 --n-pulses 16 --restarts 1 --seed 1
+check robustness_not4 "robustness.json" \
+  robustness --target not4 --n-pulses 8 --restarts 1 --seed 1

@@ -17,7 +17,7 @@ from dataclasses import MISSING, Field, asdict, dataclass, field, fields, replac
 from pathlib import Path
 
 from .channels import robustness_experiment
-from .model import ChainSpec, ControlSequence, TargetGate, bloch_trajectories
+from .model import ChainSpec, ControlSequence, TargetGate, basis_index, bloch_trajectories
 from .objective import SURROGATES, ObjectiveConfig
 from .optimizer import OptimizerConfig, optimize_controls
 
@@ -105,14 +105,11 @@ class ExperimentConfig:
                     raise ConfigError(f"{f.name} has the wrong type: {e}") from None
             object.__setattr__(self, f.name, value)
 
-        if len(self.initial_state) != n_sites or any(c not in "01" for c in self.initial_state):
-            raise ConfigError(
-                f"initial_state must be a {n_sites}-bit string for target {self.target}"
-            )
         if self.min_fidelity is not None and not 0.0 <= self.min_fidelity <= 1.0:
             raise ConfigError("min_fidelity must lie in [0, 1]")
-        # Build every domain object so that its own checks run.
+        # Index the initial state and build every domain object, so that their own checks run.
         try:
+            basis_index(self.initial_state, n_sites)
             self.chain()
             self.seq_template()
             self.objective_config()

@@ -19,11 +19,12 @@ and the diagonal D = exp(-i*phi*Sz_total/2). The inner matrix is real and
 conserves the total Sx, so in the real orthogonal basis of Sx product states
 it splits into one real block per total-Sx sector, of sizes C(n, k) on n
 qubits (1/4/6/4/1 at N=4, 1/5/10/10/5/1 with the environment qubit). These
-blocks are the only matrices that are diagonalized (``eigh_stack``), and the
-eigenvectors stay factored as V = D R with R real, so that each slice
-propagator is formed from real products. No dense slice Hamiltonian is built.
-The blocks depend only on the chain length and the environment flag
-(``slice_operators``); the kernel scales the star blocks by gamma itself.
+blocks are the only matrices that are diagonalized, one sector at a time
+(``eigh_stack`` on that sector's block of every slice), and the eigenvectors
+stay factored as V = D R with R real, so that each slice propagator is formed
+from real products. No dense slice Hamiltonian is built. The blocks depend
+only on the chain length and the environment flag (``slice_operators``); the
+kernel scales the star blocks by gamma itself.
 
 Conventions: spin operators are the bare Pauli matrices, and qubit 1 is the
 most significant bit of a basis index (an environment qubit is the last).
@@ -36,7 +37,6 @@ sequence acts first, so the total propagator is U_n ... U_2 U_1.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 import numbers
@@ -185,44 +185,25 @@ def _exchange_sum(pairs, n_qubits: int) -> np.ndarray:
     return sum((2.0 * _permutation(_swap(n_qubits, i, j)) - eye for i, j in pairs), 0.0 * eye)
 
 
-def _sector_basis(weight: np.ndarray) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
-    """Real orthogonal basis of the total-Sx sectors, and its column groups.
+def _sector_basis(weight: np.ndarray) -> tuple[np.ndarray, tuple[slice, ...]]:
+    """Real orthogonal basis of the total-Sx sectors, and each sector's columns.
 
     ``weight`` holds popcount(c) for every index c. Column c of H^⊗n (H the
     2x2 Hadamard matrix), whose entry r is (-1)^popcount(r & c) / sqrt(2)^n,
     is a product of Sx eigenstates with total Sx = n - 2*popcount(c), so the
     sector of weight w has C(n, w) columns. The returned basis holds these
-    columns grouped by sector size, smallest first, and each group is the
-    (count, size) of its run of ``count`` sectors of ``size`` columns, weight
-    by weight.
+    columns sector by sector, ordered by sector size, smallest first, then by
+    weight, and each sector is the slice of its columns.
     """
     n_qubits = len(weight).bit_length() - 1
     k = np.arange(len(weight))
     scale = math.prod([1.0 / math.sqrt(2.0)] * n_qubits)
     hadamard = scale * (1 - 2 * (weight[k[:, None] & k] % 2))
     sizes = np.array([math.comb(n_qubits, w) for w in range(n_qubits + 1)])
-    counts = collections.Counter(sizes.tolist())
     order = np.lexsort((weight, sizes[weight]))
-    return hadamard[:, order], tuple((counts[size], size) for size in sorted(counts))
-
-
-def _group_columns(a: np.ndarray, start: int, count: int, size: int) -> np.ndarray:
-    """View of the columns start .. start + count*size of ``a`` (..., dim, dim)
-    as ``count`` sectors of ``size`` columns, shape (..., count, dim, size)."""
-    cols = a[..., start : start + count * size]
-    return cols.reshape(*cols.shape[:-1], count, size).swapaxes(-2, -3)
-
-
-def _sector_blocks(basis: np.ndarray, groups, op: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The diagonal blocks of a real operator that conserves total Sx, one
-    stack (count, size, size) per column group of ``basis``, symmetrized."""
-    blocks, start = [], 0
-    for count, size in groups:
-        q = _group_columns(basis, start, count, size)
-        b = q.swapaxes(-1, -2) @ op @ q
-        blocks.append((b + b.swapaxes(-1, -2)) / 2.0)
-        start += count * size
-    return tuple(blocks)
+    # Sector edges: 0, every column where the weight changes, and dim.
+    edges = np.flatnonzero(np.diff(weight[order], prepend=-1, append=-1)).tolist()
+    return hadamard[:, order], tuple(map(slice, edges[:-1], edges[1:]))
 
 
 @dataclass(frozen=True)
@@ -230,14 +211,16 @@ class SliceOperators:
     """The fixed operators of a chain's slice Hamiltonians.
 
     ``basis`` (see ``_sector_basis``) is the real orthogonal basis whose
-    columns span the total-Sx sectors, grouped by sector size. ``drift``,
-    ``field`` (Sx on site 1) and ``star`` (the environment coupling) hold
-    their real sector blocks, one stack (count, size, size) per group.
-    ``star`` is None on the bare chain, where every operator acts on the
-    chain alone. ``m`` is the total Sz of each computational basis state.
+    columns span the total-Sx sectors, and ``sectors`` holds the slice of
+    each sector's columns in it. ``drift``, ``field`` (Sx on site 1) and
+    ``star`` (the environment coupling) hold their real (size, size) block
+    of each sector. ``star`` is None on the bare chain, where every operator
+    acts on the chain alone. ``m`` is the total Sz of each computational
+    basis state.
     """
 
     basis: np.ndarray
+    sectors: tuple[slice, ...]
     m: np.ndarray
     drift: tuple[np.ndarray, ...]
     field: tuple[np.ndarray, ...]
@@ -258,13 +241,23 @@ def slice_operators(n_sites: int, env_enabled: bool) -> SliceOperators:
     if env_enabled:
         star = _exchange_sum([(i, n_qubits) for i in range(1, n_qubits)], n_qubits)
     weight = ((np.arange(2**n_qubits)[:, None] >> np.arange(n_qubits)) & 1).sum(axis=1)
-    basis, groups = _sector_basis(weight)
+    basis, sectors = _sector_basis(weight)
+
+    def blocks(op):
+        # The diagonal blocks of a real operator that conserves total Sx, symmetrized.
+        out = []
+        for cols in sectors:
+            b = basis[:, cols].T @ op @ basis[:, cols]
+            out.append((b + b.T) / 2.0)
+        return tuple(out)
+
     ops = SliceOperators(
         basis=basis,
+        sectors=sectors,
         m=(n_qubits - 2 * weight).astype(np.float64),
-        drift=_sector_blocks(basis, groups, drift),
-        field=_sector_blocks(basis, groups, _permutation(_flip(n_qubits, 1))),
-        star=None if star is None else _sector_blocks(basis, groups, star),
+        drift=blocks(drift),
+        field=blocks(_permutation(_flip(n_qubits, 1))),
+        star=None if star is None else blocks(star),
     )
     for a in (ops.basis, ops.m, *ops.drift, *ops.field, *(ops.star or ())):
         a.setflags(write=False)
@@ -324,7 +317,7 @@ class SliceKernel:
         With r = |h_j|, phi = atan2(hy_j, hx_j) and D = diag(exp(-i*phi*m/2)),
         H_j = D (drift + r*Sx^1 [+ s_j*star]) D^dag. The inner matrix is real
         and conserves the total Sx, so it is diagonalized sector by sector,
-        with one ``eigh_stack`` call per sector size above 1, and
+        with one ``eigh_stack`` call per sector larger than 1x1, and
         rot = basis * blockdiag(W). A 1x1 sector (all spins along +x or -x)
         is its own eigensystem. At r = 0 the inner matrix commutes with D and
         phi is taken as 0.
@@ -336,36 +329,20 @@ class SliceKernel:
         self.phi[...] = np.where(r > 0.0, np.arctan2(hy, hx), 0.0)
         np.exp(-0.5j * self.phi[:, None] * ops.m, out=self.phase)
         s = self.gamma * (np.abs(hx) + np.abs(hy))
-        # Each group's blocks and star term are built in stage, which is free
-        # until the forward stage and holds two stacks of n*dim^2 entries, and
-        # one group has at most n*dim^2. The blocks are exactly symmetric, as
-        # drift, field and star are, so eigh_stack may read one triangle.
-        scratch = self.stage.reshape(-1)
-        start = 0
-        for g, (drift, field) in enumerate(zip(ops.drift, ops.field)):
-            count, size = drift.shape[:2]
-            shape = (n, count, size, size)
-            blocks, coupling = scratch[: 2 * math.prod(shape)].reshape(2, *shape)
-            np.multiply(r[:, None, None, None], field, out=blocks)
-            blocks += drift
+        for k, cols in enumerate(ops.sectors):
+            # Exactly symmetric, as drift, field and star are, so eigh_stack
+            # may read one triangle.
+            blocks = r[:, None, None] * ops.field[k] + ops.drift[k]
             if ops.star is not None:
-                np.multiply(s[:, None, None, None], ops.star[g], out=coupling)
-                blocks += coupling
-            stop = start + count * size
-            if size == 1:
+                blocks += s[:, None, None] * ops.star[k]
+            if blocks.shape[-1] == 1:
                 # A 1x1 block is its own eigenvalue, with eigenvector 1.
-                self.evals[:, start:stop] = blocks.reshape(n, count)
-                self.rot[:, :, start:stop] = ops.basis[:, start:stop]
+                self.evals[:, cols] = blocks[:, 0]
+                self.rot[:, :, cols] = ops.basis[:, cols]
             else:
                 lam, w = eigh_stack(blocks)
-                self.evals[:, start:stop] = lam.reshape(n, count * size)
-                # rot's columns of this group: the basis columns of each sector times W.
-                np.matmul(
-                    _group_columns(ops.basis, start, count, size),
-                    w,
-                    out=_group_columns(self.rot, start, count, size),
-                )
-            start = stop
+                self.evals[:, cols] = lam
+                np.matmul(ops.basis[:, cols], w, out=self.rot[:, :, cols])
 
     def forward(self, dt: float | np.ndarray) -> None:
         """Cumulative propagators of the eigensystem held in ``evals``, ``rot``
@@ -417,6 +394,14 @@ def propagate_with_env(spec: ChainSpec, seq: ControlSequence) -> np.ndarray:
     return propagate(spec, seq)
 
 
+def basis_index(label: str, n_sites: int) -> int:
+    """Index of the computational basis state that an ``n_sites``-character
+    bit string labels; qubit 1 is the leftmost character."""
+    if len(label) != n_sites or any(c not in "01" for c in label):
+        raise ValueError(f"initial state {label!r} is not a {n_sites}-bit string")
+    return int(label, 2)
+
+
 def bloch_trajectories(
     spec: ChainSpec, seq: ControlSequence, initial_state: str
 ) -> np.ndarray:
@@ -427,16 +412,13 @@ def bloch_trajectories(
     (n + 1, n_sites, 3) holding (<sx>, <sy>, <sz>) for each qubit, with row 0
     the initial state.
     """
-    if len(initial_state) != spec.n_sites or any(c not in "01" for c in initial_state):
-        raise ValueError(
-            f"initial state {initial_state!r} is not a {spec.n_sites}-bit string"
-        )
+    index = basis_index(initial_state, spec.n_sites)
     if spec.env_enabled:
         raise ValueError("Bloch trajectories are defined on the bare chain only")
     kernel = SliceKernel(spec, seq.n)
     kernel.run(seq.hx, seq.hy, seq.dt)
     # psi[j]: the state after the first j slices.
-    psi = kernel.fwd[:, :, int(initial_state, 2)]
+    psi = kernel.fwd[:, :, index]
     # flip[k, q - 1] is index k with qubit q flipped, and sign[k, q - 1] the sz
     # eigenvalue of qubit q in k: +1 where the flip raises the index. So
     # sx|k> = |flip>, sy|k> = i*sign|flip> and, with pair = conj(psi_k)*psi_flip,

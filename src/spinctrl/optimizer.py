@@ -15,6 +15,7 @@ from .model import ChainSpec, ControlSequence, TargetGate, propagate, target_uni
 from .objective import ObjectiveConfig, PulseObjective, fidelity, penalty
 
 _CURVATURE_EPS = 1e-12
+_GRAD_TOL = 1e-6
 _MAX_LINE_SEARCH_TRIALS = 50
 # Weak Wolfe constants: sufficient decrease and curvature.
 _WOLFE_C1 = 1e-4
@@ -25,7 +26,6 @@ _INIT_AMPLITUDE = 0.5
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_iters: int = 5000
-    grad_tol: float = 1e-6
     restarts: int = 8
     seed: int = 0
 
@@ -36,8 +36,6 @@ class OptimizerConfig:
                 raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
-            raise ValueError("grad_tol must be positive and finite")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.seed < 0:
@@ -128,7 +126,7 @@ def bfgs_minimize(
     the two must be consistent (the caller guarantees it). A variable on the
     bound is held while its gradient, or the quasi-Newton direction, points
     out of the box. The run converges when the projected gradient pg (g with
-    the components held by the gradient zeroed) has |pg|∞ <= ``grad_tol``.
+    the components held by the gradient zeroed) has |pg|∞ <= ``_GRAD_TOL``.
     The step -H·pg, held components zeroed, ends at the nearest bound at the
     latest, so every evaluated point lies in the box. The BFGS update ignores
     held variables; H is reset to identity only when s·y <= 1e-12 or descent
@@ -156,7 +154,7 @@ def bfgs_minimize(
     while True:
         on_bound = np.abs(x) >= bound
         pg = np.where(on_bound & (x * g < 0.0), 0.0, g)
-        converged = bool(np.max(np.abs(pg)) <= cfg.grad_tol)
+        converged = bool(np.max(np.abs(pg)) <= _GRAD_TOL)
         if converged or it == cfg.max_iters:
             break
         it += 1

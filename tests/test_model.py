@@ -22,6 +22,7 @@ from spinctrl.model import (
     TargetGate,
     _exchange_sum,
     bloch_trajectories,
+    eigh_stack,
     propagate,
     SliceKernel,
     propagate_with_env,
@@ -206,15 +207,39 @@ class TestSliceEigensystem:
         for n_sites in range(1, 5):
             ops = slice_operators(n_sites, env)
             q = n_sites + env
-            sizes = sorted(b.shape[1] for b in ops.drift for _ in range(b.shape[0]))
-            assert sizes == sorted(math.comb(q, k) for k in range(q + 1))
+            sizes = [cols.stop - cols.start for cols in ops.sectors]
+            assert sorted(sizes) == sorted(math.comb(q, k) for k in range(q + 1))
             assert np.max(np.abs(ops.basis.T @ ops.basis - np.eye(2**q))) < 1e-14
             assert (ops.star is not None) == env
-            for group in (ops.drift, ops.field) + ((ops.star,) if env else ()):
-                assert len(group) == len(ops.drift)
-                for blocks, drift in zip(group, ops.drift):
-                    assert blocks.dtype == np.float64 and blocks.shape == drift.shape
-                    assert np.array_equal(blocks, blocks.swapaxes(-1, -2))
+            for blocks in (ops.drift, ops.field) + ((ops.star,) if env else ()):
+                assert len(blocks) == len(sizes)
+                for block, size in zip(blocks, sizes):
+                    assert block.dtype == np.float64 and block.shape == (size, size)
+                    assert np.array_equal(block, block.T)
+
+    @pytest.mark.parametrize("env", [False, True])
+    def test_one_eigh_call_per_sector(self, env, monkeypatch):
+        # the sectors' column ranges tile 0..dim, smallest sector first, and
+        # diagonalize makes one eigh_stack call per sector larger than 1x1,
+        # on that sector's (n, size, size) stack of blocks
+        shapes = []
+
+        def recording(h_stack):
+            shapes.append(h_stack.shape)
+            return eigh_stack(h_stack)
+
+        monkeypatch.setattr("spinctrl.model.eigh_stack", recording)
+        hx, hy = np.array(EDGE_SLICES).T
+        for n_sites in range(1, 5):
+            ops = slice_operators(n_sites, env)
+            sizes = [cols.stop - cols.start for cols in ops.sectors]
+            assert [cols.start for cols in ops.sectors] == [0, *np.cumsum(sizes)[:-1]]
+            assert ops.sectors[-1].stop == 2 ** (n_sites + env)
+            assert sizes == sorted(sizes)
+            shapes.clear()
+            spec = ChainSpec(n_sites=n_sites, env_enabled=env, gamma=0.3)
+            SliceKernel(spec, len(hx)).diagonalize(hx, hy)
+            assert shapes == [(len(hx), size, size) for size in sizes if size > 1]
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 4), st.sampled_from([False, True]), st.floats(0.0, 3.0),
@@ -241,16 +266,16 @@ class TestSliceEigensystem:
         for n_sites in range(1, 5):
             spec = ChainSpec(n_sites=n_sites, env_enabled=env, gamma=0.3)
             ops = slice_operators(n_sites, env)
-            count, size = ops.drift[0].shape[:2]
-            assert (count, size) == (2, 1)
-            entries = np.hypot(hx, hy)[:, None] * ops.field[0][:, 0, 0] + ops.drift[0][:, 0, 0]
-            if env:
-                entries += 0.3 * (np.abs(hx) + np.abs(hy))[:, None] * ops.star[0][:, 0, 0]
+            assert ops.sectors[:2] == (slice(0, 1), slice(1, 2))
             kernel = SliceKernel(spec, len(hx))
             kernel.diagonalize(hx, hy)
-            assert np.array_equal(kernel.evals[:, :count], entries)
-            columns = np.broadcast_to(ops.basis[:, :count], (len(hx), *ops.basis[:, :count].shape))
-            assert np.array_equal(kernel.rot[:, :, :count], columns)
+            for k in range(2):
+                entries = np.hypot(hx, hy) * ops.field[k][0, 0] + ops.drift[k][0, 0]
+                if env:
+                    entries += 0.3 * (np.abs(hx) + np.abs(hy)) * ops.star[k][0, 0]
+                assert np.array_equal(kernel.evals[:, k], entries)
+                columns = np.broadcast_to(ops.basis[:, k], (len(hx), spec.dim * (1 + env)))
+                assert np.array_equal(kernel.rot[:, :, k], columns)
 
     @pytest.mark.parametrize("env", [False, True])
     def test_operators_built_once_and_read_only(self, env):
@@ -259,8 +284,8 @@ class TestSliceEigensystem:
         # gamma enters the kernel, not the operators it shares
         for gamma in (0.0, 0.1, 0.3):
             assert SliceKernel(ChainSpec(n_sites=3, env_enabled=env, gamma=gamma), 2).ops is ops
-        # one group per distinct sector size: {1, 3} on 3 qubits, {1, 4, 6} on 4
-        assert len(ops.drift) == len(ops.field) == 2 + env
+        # one block per sector: 4 sectors on 3 qubits, 5 on 4
+        assert len(ops.sectors) == len(ops.drift) == len(ops.field) == 4 + env
         for a in (ops.basis, ops.m, *ops.drift, *ops.field, *(ops.star if env else ())):
             with pytest.raises(ValueError):
                 a[...] = 0.0
@@ -286,7 +311,7 @@ class TestEnvHamiltonian:
         # the environment qubit and its coupling appear only when enabled
         ops = slice_operators(2, False)
         assert ops.star is None
-        assert ops.basis.shape == (4, 4) and sum(b.shape[0] * b.shape[1] for b in ops.drift) == 4
+        assert ops.basis.shape == (4, 4) and sum(len(b) for b in ops.drift) == 4
         kernel = SliceKernel(ChainSpec(n_sites=2, gamma=0.3), 1)
         kernel.run(np.array([1.0]), np.array([0.0]), 0.2)
         assert kernel.evals.shape == (1, 4) and kernel.rot.shape == (1, 4, 4)
