@@ -18,13 +18,14 @@ is H = D (H0 + r*Sx^1 [+ s*star]) D^dag with r = |h|, phi = atan2(hy, hx)
 and the diagonal D = exp(-i*phi*Sz_total/2). The inner matrix is real and
 conserves the total Sx, so in the real orthogonal basis of Sx product states
 it splits into one real block per total-Sx sector, of sizes C(n, k) on n
-qubits (1/4/6/4/1 at N=4, 1/5/10/10/5/1 with the environment qubit). These
-blocks are the only matrices that are diagonalized, one sector at a time
-(``eigh_stack`` on that sector's block of every slice), and the eigenvectors
-stay factored as V = D R with R real, so that each slice propagator is formed
-from real products. No dense slice Hamiltonian is built. The blocks depend
-only on the chain length and the environment flag (``slice_operators``); the
-kernel scales the star blocks by gamma itself.
+qubits (1/4/6/4/1 at N=4, 1/5/10/10/5/1 with the environment qubit). That
+basis is H^⊗n (H the Hadamard matrix), so each block is an exact integer
+submatrix (see ``slice_operators``). These blocks are the only matrices that
+are diagonalized, one sector at a time (``eigh_stack`` on that sector's block
+of every slice), and the eigenvectors stay factored as V = D R with R real,
+so that each slice propagator is formed from real products. No dense slice
+Hamiltonian is built. The blocks depend only on the chain length and the
+environment flag; the kernel scales the star blocks by gamma itself.
 
 Conventions: spin operators are the bare Pauli matrices, and qubit 1 is the
 most significant bit of a basis index (an environment qubit is the last).
@@ -185,38 +186,18 @@ def _exchange_sum(pairs, n_qubits: int) -> np.ndarray:
     return sum((2.0 * _permutation(_swap(n_qubits, i, j)) - eye for i, j in pairs), 0.0 * eye)
 
 
-def _sector_basis(weight: np.ndarray) -> tuple[np.ndarray, tuple[slice, ...]]:
-    """Real orthogonal basis of the total-Sx sectors, and each sector's columns.
-
-    ``weight`` holds popcount(c) for every index c. Column c of H^⊗n (H the
-    2x2 Hadamard matrix), whose entry r is (-1)^popcount(r & c) / sqrt(2)^n,
-    is a product of Sx eigenstates with total Sx = n - 2*popcount(c), so the
-    sector of weight w has C(n, w) columns. The returned basis holds these
-    columns sector by sector, ordered by sector size, smallest first, then by
-    weight, and each sector is the slice of its columns.
-    """
-    n_qubits = len(weight).bit_length() - 1
-    k = np.arange(len(weight))
-    scale = math.prod([1.0 / math.sqrt(2.0)] * n_qubits)
-    hadamard = scale * (1 - 2 * (weight[k[:, None] & k] % 2))
-    sizes = np.array([math.comb(n_qubits, w) for w in range(n_qubits + 1)])
-    order = np.lexsort((weight, sizes[weight]))
-    # Sector edges: 0, every column where the weight changes, and dim.
-    edges = np.flatnonzero(np.diff(weight[order], prepend=-1, append=-1)).tolist()
-    return hadamard[:, order], tuple(map(slice, edges[:-1], edges[1:]))
-
-
 @dataclass(frozen=True)
 class SliceOperators:
     """The fixed operators of a chain's slice Hamiltonians.
 
-    ``basis`` (see ``_sector_basis``) is the real orthogonal basis whose
-    columns span the total-Sx sectors, and ``sectors`` holds the slice of
-    each sector's columns in it. ``drift``, ``field`` (Sx on site 1) and
-    ``star`` (the environment coupling) hold their real (size, size) block
-    of each sector. ``star`` is None on the bare chain, where every operator
-    acts on the chain alone. ``m`` is the total Sz of each computational
-    basis state.
+    ``basis`` is the real orthogonal Hadamard basis H^⊗n of Sx product
+    states, its columns sorted by total Sx from +n down, and ``sectors``
+    holds the slice of each sector's columns in it. ``drift``, ``field`` (Sx
+    on site 1) and ``star`` (the environment coupling) hold their real
+    (size, size) block of each sector, exact submatrices with integer
+    entries. ``star`` is None on the bare chain, where every operator acts
+    on the chain alone. ``m`` is the total Sz of each computational basis
+    state.
     """
 
     basis: np.ndarray
@@ -240,23 +221,28 @@ def slice_operators(n_sites: int, env_enabled: bool) -> SliceOperators:
     star = None
     if env_enabled:
         star = _exchange_sum([(i, n_qubits) for i in range(1, n_qubits)], n_qubits)
-    weight = ((np.arange(2**n_qubits)[:, None] >> np.arange(n_qubits)) & 1).sum(axis=1)
-    basis, sectors = _sector_basis(weight)
+    k = np.arange(2**n_qubits)
+    weight = ((k[:, None] >> np.arange(n_qubits)) & 1).sum(axis=1)
+    # Column c of H^⊗n (H the 2x2 Hadamard matrix), whose entry r is
+    # (-1)^popcount(r & c) / sqrt(2)^n, is a product of Sx eigenstates with
+    # total Sx = n - 2*popcount(c). Sorted by weight, the sector of weight w
+    # is the next C(n, w) columns.
+    order = np.argsort(weight, kind="stable")
+    edges = np.cumsum([0] + [math.comb(n_qubits, w) for w in range(n_qubits + 1)]).tolist()
+    sectors = tuple(map(slice, edges[:-1], edges[1:]))
+    # H^⊗n maps every bit swap to itself and Sx^1 to Sz^1, so each block is
+    # a submatrix: of the exchange sum, or of diag(1 - 2*bit of qubit 1).
+    sz1 = 1.0 - 2 * ((order >> (n_qubits - 1)) & 1)
 
     def blocks(op):
-        # The diagonal blocks of a real operator that conserves total Sx, symmetrized.
-        out = []
-        for cols in sectors:
-            b = basis[:, cols].T @ op @ basis[:, cols]
-            out.append((b + b.T) / 2.0)
-        return tuple(out)
+        return tuple(op[np.ix_(order[cols], order[cols])] for cols in sectors)
 
     ops = SliceOperators(
-        basis=basis,
+        basis=2.0 ** (-n_qubits / 2) * (1 - 2 * (weight[k[:, None] & order] % 2)),
         sectors=sectors,
         m=(n_qubits - 2 * weight).astype(np.float64),
         drift=blocks(drift),
-        field=blocks(_permutation(_flip(n_qubits, 1))),
+        field=tuple(np.diag(sz1[cols]) for cols in sectors),
         star=None if star is None else blocks(star),
     )
     for a in (ops.basis, ops.m, *ops.drift, *ops.field, *(ops.star or ())):

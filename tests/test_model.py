@@ -203,25 +203,48 @@ class TestSliceEigensystem:
 
     @pytest.mark.parametrize("env", [False, True])
     def test_sector_sizes_and_real_blocks(self, env):
-        # sectors of total Sx on q qubits have C(q, k) states, k = 0..q
+        # sectors of total Sx on q qubits have C(q, k) states, k = 0..q. The
+        # basis columns are columns of H^⊗q, which maps every bit swap to
+        # itself and Sx^1 to Sz^1, so each block is exact, bit for bit: the
+        # drift and star blocks are the exchange sums restricted to the
+        # sector's Hadamard columns, and the field blocks are diagonal with
+        # entries +-1
         for n_sites in range(1, 5):
+            spec = ChainSpec(n_sites=n_sites, env_enabled=env)
             ops = slice_operators(n_sites, env)
             q = n_sites + env
             sizes = [cols.stop - cols.start for cols in ops.sectors]
             assert sorted(sizes) == sorted(math.comb(q, k) for k in range(q + 1))
             assert np.max(np.abs(ops.basis.T @ ops.basis - np.eye(2**q))) < 1e-14
             assert (ops.star is not None) == env
+            # basis column j is column index[j] of H^⊗q: its entry in row 2^p
+            # is negative where bit p of index[j] is set
+            powers = 1 << np.arange(q)
+            index = powers @ (ops.basis[powers] < 0)
+            assert sorted(index) == list(range(2**q))
+            hadamard = scipy.linalg.hadamard(2**q) / 2 ** (q / 2)
+            assert np.max(np.abs(ops.basis - hadamard[:, index])) < 1e-15
+            drift, _, _, star = dense_operators(spec)
             for blocks in (ops.drift, ops.field) + ((ops.star,) if env else ()):
                 assert len(blocks) == len(sizes)
                 for block, size in zip(blocks, sizes):
                     assert block.dtype == np.float64 and block.shape == (size, size)
                     assert np.array_equal(block, block.T)
+            for k, cols in enumerate(ops.sectors):
+                idx = index[cols]
+                assert np.array_equal(ops.drift[k], drift.real[np.ix_(idx, idx)])
+                if env:
+                    assert np.array_equal(ops.star[k], star.real[np.ix_(idx, idx)])
+                diagonal = np.diag(ops.field[k])
+                assert np.array_equal(ops.field[k], np.diag(diagonal))
+                assert np.array_equal(diagonal, 1.0 - 2 * ((idx >> (q - 1)) & 1))
 
     @pytest.mark.parametrize("env", [False, True])
     def test_one_eigh_call_per_sector(self, env, monkeypatch):
-        # the sectors' column ranges tile 0..dim, smallest sector first, and
-        # diagonalize makes one eigh_stack call per sector larger than 1x1,
-        # on that sector's (n, size, size) stack of blocks
+        # the sectors come in weight order, of sizes C(q, w) for w = 0..q, their
+        # column ranges tile 0..dim, and diagonalize makes one eigh_stack call
+        # per sector larger than 1x1, on that sector's (n, size, size) stack
+        # of blocks
         shapes = []
 
         def recording(h_stack):
@@ -231,11 +254,12 @@ class TestSliceEigensystem:
         monkeypatch.setattr("spinctrl.model.eigh_stack", recording)
         hx, hy = np.array(EDGE_SLICES).T
         for n_sites in range(1, 5):
+            q = n_sites + env
             ops = slice_operators(n_sites, env)
             sizes = [cols.stop - cols.start for cols in ops.sectors]
+            assert sizes == [math.comb(q, w) for w in range(q + 1)]
             assert [cols.start for cols in ops.sectors] == [0, *np.cumsum(sizes)[:-1]]
-            assert ops.sectors[-1].stop == 2 ** (n_sites + env)
-            assert sizes == sorted(sizes)
+            assert ops.sectors[-1].stop == 2**q
             shapes.clear()
             spec = ChainSpec(n_sites=n_sites, env_enabled=env, gamma=0.3)
             SliceKernel(spec, len(hx)).diagonalize(hx, hy)
@@ -258,24 +282,25 @@ class TestSliceEigensystem:
 
     @pytest.mark.parametrize("env", [False, True])
     def test_size_one_sectors_are_their_own_eigensystem(self, env):
-        # the 1x1 sectors (all spins along +x or -x) come first; their
-        # eigenvalues are the block entries r*field + drift [+ s*star] and
-        # their rot columns the basis columns, bit for bit
+        # the 1x1 sectors (all spins along +x or -x) are the first and the
+        # last; their eigenvalues are the block entries r*field + drift
+        # [+ s*star] and their rot columns the basis columns, bit for bit
         rng = np.random.default_rng(5)
         hx, hy = np.array(EDGE_SLICES + rng.uniform(-3.0, 3.0, (6, 2)).tolist()).T
         for n_sites in range(1, 5):
             spec = ChainSpec(n_sites=n_sites, env_enabled=env, gamma=0.3)
             ops = slice_operators(n_sites, env)
-            assert ops.sectors[:2] == (slice(0, 1), slice(1, 2))
+            dim = spec.dim * (1 + env)
+            assert (ops.sectors[0], ops.sectors[-1]) == (slice(0, 1), slice(dim - 1, dim))
             kernel = SliceKernel(spec, len(hx))
             kernel.diagonalize(hx, hy)
-            for k in range(2):
+            for k, col in ((0, 0), (-1, dim - 1)):
                 entries = np.hypot(hx, hy) * ops.field[k][0, 0] + ops.drift[k][0, 0]
                 if env:
                     entries += 0.3 * (np.abs(hx) + np.abs(hy)) * ops.star[k][0, 0]
-                assert np.array_equal(kernel.evals[:, k], entries)
-                columns = np.broadcast_to(ops.basis[:, k], (len(hx), spec.dim * (1 + env)))
-                assert np.array_equal(kernel.rot[:, :, k], columns)
+                assert np.array_equal(kernel.evals[:, col], entries)
+                columns = np.broadcast_to(ops.basis[:, col], (len(hx), dim))
+                assert np.array_equal(kernel.rot[:, :, col], columns)
 
     @pytest.mark.parametrize("env", [False, True])
     def test_operators_built_once_and_read_only(self, env):
@@ -574,7 +599,7 @@ class TestSymmetries:
     """Covariances of the isotropic chain under the slice kernel."""
 
     @settings(max_examples=30, deadline=None)
-    @given(st.sampled_from([1, 2, 3]), st.floats(-np.pi, np.pi), pulse_lists)
+    @given(st.sampled_from([1, 2, 3, 4]), st.floats(-np.pi, np.pi), pulse_lists)
     def test_rotation_about_z(self, n_sites, phi, pulses):
         # rotating every (hx, hy) by phi conjugates U by exp(-i*phi*sum Sz/2)
         hx, hy = np.array(pulses).T
@@ -588,7 +613,7 @@ class TestSymmetries:
         assert np.max(np.abs(u_rot - d @ u @ d.conj().T)) < 1e-12
 
     @settings(max_examples=30, deadline=None)
-    @given(st.sampled_from([1, 2, 3]), st.sampled_from([False, True]), pulse_lists)
+    @given(st.sampled_from([1, 2, 3, 4]), st.sampled_from([False, True]), pulse_lists)
     def test_global_spin_flip(self, n_sites, env, pulses):
         # hy -> -hy conjugates U by X on every qubit, the environment's included
         hx, hy = np.array(pulses).T
