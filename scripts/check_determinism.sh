@@ -48,3 +48,8 @@ check not4 "result.json pulses.csv trajectories.csv" \
   run --target not4 --n-pulses 16 --restarts 1 --seed 1
 check robustness_not4 "robustness.json" \
   robustness --target not4 --n-pulses 8 --restarts 1 --seed 1
+# A config file whose null n_pulses takes the target's default, and a flag
+# that overrides one of its keys.
+printf '{"target": "not3", "n_pulses": null, "restarts": 3, "seed": 2}\n' > "$work/config.json"
+check config "result.json pulses.csv trajectories.csv" \
+  run --config "$work/config.json" --restarts 1

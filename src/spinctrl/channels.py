@@ -40,7 +40,7 @@ class ChoiMatrix:
         d2 = self.system_dim**2
         if f.ndim != 2 or f.shape[0] != d2 or f.shape[1] < 1:
             raise ValueError(f"expected a factor of shape ({d2}, k >= 1), got {f.shape}")
-        if abs(np.vdot(f, f).real - 1.0) > 1e-9:
+        if not abs(np.vdot(f, f).real - 1.0) <= 1e-9:
             raise ValueError("Choi matrix trace differs from 1 beyond tolerance")
 
     @property

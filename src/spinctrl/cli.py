@@ -44,10 +44,6 @@ OUTPUT_FILES = {
 }
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _param(kind: type, help: str, default=None, **flag):
     """A run parameter: its value type, its default, and its flag's help text
     and further argparse keywords."""
@@ -81,7 +77,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not isinstance(self.target, str) or self.target not in TARGETS:
-            raise ConfigError(f"unknown target {self.target!r}")
+            raise ValueError(f"unknown target {self.target!r}")
         n_sites = TARGETS[self.target][1]
         for f in fields(self):
             value = getattr(self, f.name)
@@ -92,30 +88,27 @@ class ExperimentConfig:
             kind = f.metadata["kind"]
             if kind is str:
                 if not isinstance(value, str):
-                    raise ConfigError(f"{f.name} must be a string, not {value!r}")
+                    raise ValueError(f"{f.name} must be a string, not {value!r}")
             else:
                 # int() and float() would quietly turn 6.9 into 6 and true into 1.
                 if isinstance(value, bool) or (
                     kind is int and isinstance(value, float) and not value.is_integer()
                 ):
-                    raise ConfigError(f"{f.name} must be {kind.__name__}, not {value!r}")
+                    raise ValueError(f"{f.name} must be {kind.__name__}, not {value!r}")
                 try:
                     value = kind(value)
                 except (TypeError, ValueError, OverflowError) as e:
-                    raise ConfigError(f"{f.name} has the wrong type: {e}") from None
+                    raise ValueError(f"{f.name} has the wrong type: {e}") from None
             object.__setattr__(self, f.name, value)
 
         if self.min_fidelity is not None and not 0.0 <= self.min_fidelity <= 1.0:
-            raise ConfigError("min_fidelity must lie in [0, 1]")
+            raise ValueError("min_fidelity must lie in [0, 1]")
         # Index the initial state and build every domain object, so that their own checks run.
-        try:
-            basis_index(self.initial_state, n_sites)
-            self.chain()
-            self.seq_template()
-            self.objective_config()
-            self.optimizer_config()
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+        basis_index(self.initial_state, n_sites)
+        self.chain()
+        self.seq_template()
+        self.objective_config()
+        self.optimizer_config()
         # propagate runs a stretch of equal slices as one slice of up to
         # n_pulses*dt, whose phases (duration times eigenvalue) must be finite.
         # The optimizer takes g @ g of a gradient whose 2*n_pulses entries are
@@ -126,7 +119,7 @@ class ExperimentConfig:
         slope = self.dt + 1.0 / (self.n_pulses * min(self.bound, 1.0))
         fermi_dirac = self.bound / (2.0 * self.kT) + 2.0 * self.kT
         if not math.isfinite(phase + 2 * self.n_pulses * slope * slope + fermi_dirac):
-            raise ConfigError(
+            raise ValueError(
                 "n_pulses * dt * (bound on the slice Hamiltonian's norm), the gradient "
                 "scale 2 * n_pulses * (dt + 1/(n_pulses * min(bound, 1)))^2, "
                 "bound / (2 * kT) or 2 * kT is not finite; "
@@ -206,20 +199,20 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         path = Path(args.config)
         if not path.is_file():
-            raise ConfigError(f"config file {args.config!r} not found")
+            raise ValueError(f"config file {args.config!r} not found")
         try:
             loaded = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise ConfigError(f"config file is not readable JSON text: {e}") from None
+            raise ValueError(f"config file is not readable JSON text: {e}") from None
         if not isinstance(loaded, dict):
-            raise ConfigError("config file must contain a JSON object")
+            raise ValueError("config file must contain a JSON object")
         unknown = set(loaded) - keys
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         merged.update(loaded)
     merged.update((k, v) for k, v in vars(args).items() if k in keys)
     if "target" not in merged:
-        raise ConfigError("a target must be given (--target or config file)")
+        raise ValueError("a target must be given (--target or config file)")
     return ExperimentConfig(**merged)
 
 
@@ -328,8 +321,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = config_from_args(args)
         if args.command == "robustness" and cfg.mu >= 1.0:
-            raise ConfigError("robustness requires mu < 1 (the mu=1 leg is run internally)")
-    except ConfigError as e:
+            raise ValueError("robustness requires mu < 1 (the mu=1 leg is run internally)")
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:

@@ -48,6 +48,14 @@ import numpy as np
 from . import linalg
 
 
+def check_count(name: str, value, minimum: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (not a bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, not {value}")
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Chain geometry and couplings, in units of the exchange coupling.
@@ -62,10 +70,7 @@ class ChainSpec:
     gamma: float = 0.1
 
     def __post_init__(self):
-        if isinstance(self.n_sites, bool) or not isinstance(self.n_sites, numbers.Integral):
-            raise ValueError(f"n_sites must be an integer, not {self.n_sites!r}")
-        if self.n_sites < 1:
-            raise ValueError("chain needs at least one site")
+        check_count("n_sites", self.n_sites, 1)
         if not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise ValueError("gamma must be non-negative and finite")
 
@@ -147,11 +152,7 @@ class TargetGate:
     def __post_init__(self):
         if self.kind not in ("NOT", "SWAP"):
             raise ValueError(f"unknown target kind {self.kind!r}; expected 'NOT' or 'SWAP'")
-        if isinstance(self.n_sites, bool) or not isinstance(self.n_sites, numbers.Integral):
-            raise ValueError(f"n_sites must be an integer, not {self.n_sites!r}")
-        minimum = 1 if self.kind == "NOT" else 2
-        if self.n_sites < minimum:
-            raise ValueError(f"{self.kind} requires at least {minimum} sites")
+        check_count("n_sites", self.n_sites, 1 if self.kind == "NOT" else 2)
 
 
 def _flip(n_qubits: int, q: int) -> np.ndarray:
@@ -405,15 +406,13 @@ def bloch_trajectories(
     kernel.run(seq.hx, seq.hy, seq.dt)
     # psi[j]: the state after the first j slices.
     psi = kernel.fwd[:, :, index]
-    # flip[k, q - 1] is index k with qubit q flipped, and sign[k, q - 1] the sz
-    # eigenvalue of qubit q in k: +1 where the flip raises the index. So
-    # sx|k> = |flip>, sy|k> = i*sign|flip> and, with pair = conj(psi_k)*psi_flip,
-    # <sx> = sum_k pair, <sy> = Im sum_k sign*pair and <sz> = sum_k sign*|psi_k|^2.
-    flip = np.stack([_flip(spec.n_sites, q) for q in range(1, spec.n_sites + 1)], axis=1)
-    sign = np.sign(flip - np.arange(spec.dim)[:, None])
-    pair = psi.conj()[:, :, None] * psi[:, flip]
     out = np.empty((seq.n + 1, spec.n_sites, 3))
-    out[..., 0] = pair.sum(axis=1).real
-    out[..., 1] = (sign * pair).sum(axis=1).imag
-    out[..., 2] = (np.abs(psi) ** 2) @ sign
+    for q in range(spec.n_sites):
+        # a and b: the amplitudes with qubit q + 1 in |0> and in |1>. With
+        # z = sum conj(a)*b, <sx> = 2 Re z, <sy> = 2 Im z and <sz> = |a|^2 - |b|^2.
+        halves = psi.reshape(seq.n + 1, 2**q, 2, -1)
+        a, b = halves[:, :, 0], halves[:, :, 1]
+        z = 2.0 * (a.conj() * b).sum(axis=(1, 2))
+        out[:, q, 0], out[:, q, 1] = z.real, z.imag
+        out[:, q, 2] = (np.abs(a) ** 2).sum(axis=(1, 2)) - (np.abs(b) ** 2).sum(axis=(1, 2))
     return out

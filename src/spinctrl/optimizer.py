@@ -5,13 +5,12 @@ optimization."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .model import ChainSpec, ControlSequence, TargetGate, propagate, target_unitary
+from .model import ChainSpec, ControlSequence, TargetGate, check_count, propagate, target_unitary
 from .objective import ObjectiveConfig, PulseObjective, fidelity, penalty
 
 _CURVATURE_EPS = 1e-12
@@ -30,16 +29,8 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_iters", "restarts", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        for name, minimum in (("max_iters", 1), ("restarts", 1), ("seed", 0)):
+            check_count(name, getattr(self, name), minimum)
 
 
 @dataclass
@@ -60,9 +51,8 @@ def _wolfe_search(vag, point, p, f0, g0, a_max):
     decrease bounds the bracket from above, one still too steep from below;
     trials double from min(1, a_max) up to ``a_max`` until the bracket has an
     upper end, then bisect it. A still-descending step at ``a_max`` is
-    accepted. Returns (x, f, g) at an acceptable step, or None after
-    ``_MAX_LINE_SEARCH_TRIALS`` evaluations or once the bracket has shrunk to
-    rounding.
+    accepted, and a NaN value fails sufficient decrease. Returns (x, f, g) at
+    an acceptable step, or None after ``_MAX_LINE_SEARCH_TRIALS`` evaluations.
     """
     d0 = float(g0 @ p)
     lo, hi = 0.0, math.inf
@@ -70,7 +60,7 @@ def _wolfe_search(vag, point, p, f0, g0, a_max):
     for _ in range(_MAX_LINE_SEARCH_TRIALS):
         xa = point(a)
         fa, ga = vag(xa)
-        if fa > f0 + _WOLFE_C1 * a * d0:
+        if not fa <= f0 + _WOLFE_C1 * a * d0:
             hi = a
         elif float(ga @ p) < _WOLFE_C2 * d0 and a < a_max:
             lo = a
@@ -78,8 +68,6 @@ def _wolfe_search(vag, point, p, f0, g0, a_max):
             return xa, fa, ga
         if hi == math.inf:
             a = min(2.0 * a, a_max)
-        elif hi - lo <= 1e-16 * hi:
-            return None
         else:
             a = 0.5 * (lo + hi)
     return None

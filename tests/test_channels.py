@@ -99,6 +99,10 @@ class TestChoiOfUnitary:
         with pytest.raises(ValueError):
             choi_of_unitary(np.ones((2, 2)))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            choi_of_unitary(np.eye(4)[:, :2])
+
 
 class TestChoiMatrixValidation:
     def test_rejects_wrong_shape(self):
@@ -108,6 +112,10 @@ class TestChoiMatrixValidation:
     def test_rejects_traceless(self):
         with pytest.raises(ValueError):
             ChoiMatrix(system_dim=2, factor=np.zeros((4, 2)))
+
+    def test_rejects_nan_factor(self):
+        with pytest.raises(ValueError):
+            ChoiMatrix(system_dim=2, factor=np.full((4, 1), np.nan))
 
     def test_matrix_of_unit_factor_is_hermitian_psd(self):
         rng = np.random.default_rng(59)

@@ -348,6 +348,20 @@ def test_non_finite_numeric_flag_exits_2_without_files(tmp_path, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("problem", ["missing_file", "json_list", "no_target"])
+def test_config_source_problem_exits_2_without_files(tmp_path, problem, capsys):
+    out = tmp_path / "out"
+    cfg_file = tmp_path / "cfg.json"
+    if problem == "json_list":
+        cfg_file.write_text(json.dumps(["target", "not3"]))
+    args = ["run", "--output-dir", str(out)]
+    if problem != "no_target":
+        args += ["--config", str(cfg_file)]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 class TestEntryPoint:
     def test_console_script_help(self):
         proc = subprocess.run(

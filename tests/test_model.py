@@ -22,6 +22,7 @@ from spinctrl.model import (
     TargetGate,
     _exchange_sum,
     bloch_trajectories,
+    check_count,
     eigh_stack,
     propagate,
     SliceKernel,
@@ -118,6 +119,30 @@ class TestSpecs:
             ControlSequence(hx=[11.0], hy=[0.0], dt=0.2, bound=10.0)
         with pytest.raises(ValueError):
             ControlSequence(hx=[float("nan")], hy=[0.0], dt=0.2, bound=10.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: ControlSequence(hx=[], hy=[], dt=0.2, bound=10.0), id="no_slices"),
+            pytest.param(
+                lambda: ControlSequence.from_vector(np.zeros(3), 0.2, 10.0), id="odd_vector"
+            ),
+        ],
+    )
+    def test_sequence_shape_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    @pytest.mark.parametrize(
+        "value,minimum", [(True, 0), (2.0, 1), (np.float64(2.0), 1), ("2", 1), (0, 1), (-1, 0)]
+    )
+    def test_check_count_rejects(self, value, minimum):
+        with pytest.raises(ValueError):
+            check_count("count", value, minimum)
+
+    @pytest.mark.parametrize("value,minimum", [(1, 1), (0, 0), (np.int64(7), 2)])
+    def test_check_count_accepts(self, value, minimum):
+        check_count("count", value, minimum)
 
     def test_sequence_vector_roundtrip(self):
         seq = ControlSequence(hx=[1.0, -2.0], hy=[0.5, 3.0], dt=0.1, bound=5.0)

@@ -58,6 +58,19 @@ class TestConfig:
                 ObjectiveConfig(mu=0.5),
             )
 
+    @pytest.mark.parametrize(
+        "target,x",
+        [
+            pytest.param(TargetGate("NOT", 3), np.zeros(8), id="target_of_3_sites"),
+            pytest.param(TargetGate("NOT", 2), np.zeros(9), id="odd_vector"),
+            pytest.param(TargetGate("NOT", 2), np.zeros(6), id="short_vector"),
+        ],
+    )
+    def test_mismatched_inputs_rejected(self, target, x):
+        with pytest.raises(ValueError):
+            po = PulseObjective(ChainSpec(n_sites=2), target, 4, 0.2, 10.0, ObjectiveConfig(mu=0.5))
+            po.value_and_grad(x)
+
 
 class TestFidelity:
     def test_self_is_one(self):

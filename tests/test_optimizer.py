@@ -170,6 +170,18 @@ class TestBfgsMinimize:
         assert len(evaluated) <= 1.5 * info.iterations
         assert max(np.max(np.abs(p)) for p in evaluated) <= bound
 
+    def test_nan_trial_fails_sufficient_decrease(self):
+        # f is NaN outside |x_i| <= 2, where its minimum (3, 3) lies; a NaN
+        # trial must shrink the step rather than be accepted
+        def vag(x):
+            if np.any(np.abs(x) > 2.0):
+                return float("nan"), np.full_like(x, np.nan)
+            return float(np.sum((x - 3.0) ** 2)), 2.0 * (x - 3.0)
+
+        x, _ = bfgs_minimize(vag, np.zeros(2), bound=5.0, cfg=OptimizerConfig(max_iters=10))
+        assert np.all(np.abs(x) <= 2.0)
+        assert vag(x)[0] < vag(np.zeros(2))[0]
+
     def test_line_search_failure_flagged(self):
         # |x| with the hard sign gradient: each weak Wolfe step crosses or
         # nears the kink, so the iterates close in on 0 until sufficient
