@@ -48,6 +48,10 @@ check not4 "result.json pulses.csv trajectories.csv" \
   run --target not4 --n-pulses 16 --restarts 1 --seed 1
 check robustness_not4 "robustness.json" \
   robustness --target not4 --n-pulses 8 --restarts 1 --seed 1
+# Large but finite phases: slices of duration 1e150 through the environment-chain
+# check of robustness.
+check robustness_large_dt "robustness.json" \
+  robustness --target not3 --n-pulses 8 --restarts 1 --seed 1 --dt 1e150
 # A config file whose null n_pulses takes the target's default, and a flag
 # that overrides one of its keys.
 printf '{"target": "not3", "n_pulses": null, "restarts": 3, "seed": 2}\n' > "$work/config.json"

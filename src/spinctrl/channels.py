@@ -120,6 +120,7 @@ def robustness_experiment(
         raise ValueError("the penalized leg needs mu < 1")
     bare_chain = replace(chain, env_enabled=False)
     env_chain = replace(chain, env_enabled=True)
+    env_chain.check_phase(seq_template.n * seq_template.dt, seq_template.bound)
     choi_target = choi_of_unitary(target_unitary(target))
     legs = {}
     for label, cfg in (("mu1", replace(obj_cfg, mu=1.0)), ("muL", obj_cfg)):

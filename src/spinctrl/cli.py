@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import MISSING, Field, asdict, dataclass, field, fields, replace
@@ -103,28 +102,13 @@ class ExperimentConfig:
 
         if self.min_fidelity is not None and not 0.0 <= self.min_fidelity <= 1.0:
             raise ValueError("min_fidelity must lie in [0, 1]")
-        # Index the initial state and build every domain object, so that their own checks run.
+        # Index the initial state and build every domain object, so that their own checks
+        # run, then check the scales; the environment chain's phases bound the bare chain's.
         basis_index(self.initial_state, n_sites)
-        self.chain()
         self.seq_template()
-        self.objective_config()
         self.optimizer_config()
-        # propagate runs a stretch of equal slices as one slice of up to
-        # n_pulses*dt, whose phases (duration times eigenvalue) must be finite.
-        # The optimizer takes g @ g of a gradient whose 2*n_pulses entries are
-        # at most dt (fidelity) + 1/(n_pulses*min(bound, 1)) (penalty slope).
-        # The Fermi-Dirac stand-in scales |h| <= bound by 1/(2*kT), its value by 2*kT.
-        env_chain = replace(self.chain(), env_enabled=True)
-        phase = self.n_pulses * self.dt * env_chain.norm_bound(self.bound)
-        slope = self.dt + 1.0 / (self.n_pulses * min(self.bound, 1.0))
-        fermi_dirac = self.bound / (2.0 * self.kT) + 2.0 * self.kT
-        if not math.isfinite(phase + 2 * self.n_pulses * slope * slope + fermi_dirac):
-            raise ValueError(
-                "n_pulses * dt * (bound on the slice Hamiltonian's norm), the gradient "
-                "scale 2 * n_pulses * (dt + 1/(n_pulses * min(bound, 1)))^2, "
-                "bound / (2 * kT) or 2 * kT is not finite; "
-                "reduce dt or gamma, raise a tiny bound, or choose a kT nearer 1"
-            )
+        replace(self.chain(), env_enabled=True).check_phase(self.n_pulses * self.dt, self.bound)
+        self.objective_config().check_scales(self.n_pulses, self.dt, self.bound)
 
     def chain(self) -> ChainSpec:
         return ChainSpec(n_sites=TARGETS[self.target][1], gamma=self.gamma)

@@ -86,16 +86,22 @@ class ChainSpec:
         n = self.n_sites
         norm = 3.0 * (n - 1) + math.sqrt(2.0) * amplitude
         if self.env_enabled:
-            norm += 6.0 * n * self.gamma * amplitude
+            norm += 6.0 * n * float(self.gamma) * amplitude
         return norm
+
+    def check_phase(self, duration: float, amplitude: float) -> None:
+        """Raise ValueError unless slices of this duration and amplitude have finite phases."""
+        if not math.isfinite(float(duration) * self.norm_bound(float(amplitude))):
+            raise ValueError(f"the phases of slices of duration {duration} at amplitude "
+                             f"{amplitude} are not finite; reduce dt, gamma or bound")
 
 
 @dataclass(frozen=True)
 class ControlSequence:
     """Piecewise-constant pulse amplitudes (hx, hy) with slice duration dt.
 
-    Amplitudes must respect |h| <= bound; the optimizer keeps iterates inside
-    the box by projection.
+    Amplitudes must respect |h| <= bound exactly; the optimizer keeps iterates
+    inside the box by projection, which lands on ±bound itself.
     """
 
     hx: np.ndarray
@@ -118,7 +124,7 @@ class ControlSequence:
             raise ValueError("bound must be positive and finite")
         if not (np.all(np.isfinite(hx)) and np.all(np.isfinite(hy))):
             raise ValueError("pulse amplitudes must be finite")
-        if max(np.max(np.abs(hx)), np.max(np.abs(hy))) > self.bound + 1e-12:
+        if max(np.max(np.abs(hx)), np.max(np.abs(hy))) > self.bound:
             raise ValueError("pulse amplitudes exceed the bound")
 
     @property
@@ -364,7 +370,8 @@ def propagate(spec: ChainSpec, seq: ControlSequence) -> np.ndarray:
     Equal fields give equal slice Hamiltonians, the environment coupling
     s_j = gamma*(|hx_j| + |hy_j|) included, so a run of k consecutive slices
     with equal (hx, hy) is exp(-i*k*dt*H): it is propagated as one slice of
-    duration k*dt. (0.0 and -0.0 count as equal: they give the same H.)"""
+    duration k*dt <= n*dt. (0.0 and -0.0 count as equal: they give the same H.)"""
+    spec.check_phase(seq.n * seq.dt, seq.bound)
     hx, hy = seq.hx, seq.hy
     starts = np.flatnonzero(np.r_[True, (hx[1:] != hx[:-1]) | (hy[1:] != hy[:-1])])
     lengths = np.diff(np.r_[starts, seq.n])
@@ -402,6 +409,7 @@ def bloch_trajectories(
     index = basis_index(initial_state, spec.n_sites)
     if spec.env_enabled:
         raise ValueError("Bloch trajectories are defined on the bare chain only")
+    spec.check_phase(seq.dt, seq.bound)
     kernel = SliceKernel(spec, seq.n)
     kernel.run(seq.hx, seq.hy, seq.dt)
     # psi[j]: the state after the first j slices.

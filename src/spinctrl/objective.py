@@ -56,6 +56,15 @@ class ObjectiveConfig:
         if not (math.isfinite(self.kT) and self.kT > 0.0):
             raise ValueError("kT must be positive and finite")
 
+    def check_scales(self, n: int, dt: float, bound: float) -> None:
+        """Raise ValueError unless, for n slices of duration dt and |h| <= bound, the optimizer's
+        g @ g (2*n entries of at most dt + 1/(n*min(bound, 1)), fidelity plus penalty slope) and
+        the Fermi-Dirac scales |h|/(2*kT) and 2*kT are finite, whatever the surrogate."""
+        slope, two_kt = dt + 1.0 / (n * min(bound, 1.0)), 2.0 * float(self.kT)
+        if not math.isfinite(2 * n * slope * slope + bound / two_kt + two_kt):
+            raise ValueError("2*n_pulses*(dt + 1/(n_pulses*min(bound, 1)))^2, bound/(2*kT) or 2*kT "
+                             "is not finite; reduce dt, raise a tiny bound or choose a kT nearer 1")
+
 
 def fidelity(u_target: np.ndarray, u: np.ndarray) -> float:
     """Gate fidelity |Tr(U_target^dag U)| / dim; invariant under global phases."""
@@ -130,6 +139,9 @@ class PulseObjective:
         self.n = int(n)
         self.dt = float(dt)
         self.bound = float(bound)
+        # A run of all n slices, as ``propagate`` may merge them into one.
+        spec.check_phase(self.n * self.dt, self.bound)
+        cfg.check_scales(self.n, self.dt, self.bound)
         self.cfg = cfg
         self.dim = spec.dim
         self._ut_dag = target_unitary(target).conj().T

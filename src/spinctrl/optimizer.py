@@ -225,9 +225,7 @@ def optimize_controls(
     functional, ties going to the lower restart index. Deterministic given
     (seed, configs).
     """
-    po = PulseObjective(
-        spec, target, seq_template.n, seq_template.dt, seq_template.bound, obj_cfg
-    )
+    po = PulseObjective(spec, target, seq_template.n, seq_template.dt, seq_template.bound, obj_cfg)
     u_target = target_unitary(target)
     children = np.random.SeedSequence(opt_cfg.seed).spawn(opt_cfg.restarts)
     amplitude = min(_INIT_AMPLITUDE, seq_template.bound)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import SX, dense_operators
+from scale_cases import PHASE_OVERFLOW, experiment
 from spinctrl import linalg
 from spinctrl.channels import (
     ChoiMatrix,
@@ -160,6 +161,12 @@ class TestChoiOfEnvChannel:
         with pytest.raises(ValueError):
             choi_of_env_channel(ChainSpec(n_sites=2), ControlSequence.zeros(2, 0.2, 10.0))
 
+    @pytest.mark.parametrize("case", PHASE_OVERFLOW, ids="-".join)
+    def test_overflowing_phases_raise(self, case):
+        seq, _ = experiment(case, 2)
+        with pytest.raises(ValueError, match="not finite"):
+            choi_of_env_channel(ChainSpec(n_sites=3, env_enabled=True), seq)
+
 
 class TestChoiDistance:
     def test_self_distance_zero(self):
@@ -245,6 +252,18 @@ class TestRobustness:
                 ControlSequence.zeros(4, 0.2, 20.0),
                 ObjectiveConfig(mu=1.0),
                 OptimizerConfig(seed=1, restarts=1),
+            )
+
+    def test_experiment_checks_env_phases_before_optimizing(self, monkeypatch):
+        # gamma enters only the environment chain's phases, which overflow here
+        monkeypatch.setattr("spinctrl.channels.optimize_controls", None)
+        with pytest.raises(ValueError, match="not finite"):
+            robustness_experiment(
+                TargetGate("NOT", 3),
+                ChainSpec(n_sites=3, gamma=1e306),
+                ControlSequence.zeros(2, 0.2, 50.0),
+                ObjectiveConfig(mu=0.2),
+                OptimizerConfig(restarts=1),
             )
 
 

@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from scale_cases import LARGE_BUT_FINITE, PHASE_OVERFLOW, SCALE_OVERFLOW, flags
 from spinctrl.cli import _RUN_ONLY, ExperimentConfig, build_parser, config_from_args, main
 from spinctrl.model import (
     ChainSpec,
@@ -314,19 +315,7 @@ NON_FINITE_CASES = [
 ] + [
     (command, *case)
     for command in ("run", "robustness")
-    for case in [
-        # A finite dt whose slice phases overflow: n_pulses * dt is already inf.
-        ("dt", "1e308"),
-        # Finite phases, but a gradient whose squared norm overflows: dt^2, or
-        # the squared penalty slope ~ 1/(n_pulses * bound)^2 of a tiny bound.
-        ("dt", "1e300"),
-        ("bound", "1e-300", "signum"),
-        ("bound", "1e-160", "fractional"),
-        # The Fermi-Dirac stand-in divides |h| <= bound by 2*kT, which
-        # overflows, or multiplies by 2*kT, which is inf.
-        ("kT", "1e-320"),
-        ("kT", "1e308"),
-    ]
+    for case in PHASE_OVERFLOW + SCALE_OVERFLOW
 ]
 
 
@@ -334,12 +323,11 @@ NON_FINITE_CASES = [
     "case", NON_FINITE_CASES, ids=["-".join(case) for case in NON_FINITE_CASES]
 )
 def test_non_finite_numeric_flag_exits_2_without_files(tmp_path, case):
-    command, name, value, *surrogate = case
+    command, *flag = case
     out = tmp_path / "out"
     # The flag under test comes last, so it overrides the small run size.
     args = [command, "--target", "not3", "--n-pulses", "2", "--restarts", "1",
-            "--output-dir", str(out), *[f"--surrogate={s}" for s in surrogate],
-            f"--{name.lower().replace('_', '-')}={value}"]
+            "--output-dir", str(out), *flags(flag)]
     try:
         code = main(args)
     except SystemExit as e:  # argparse rejects a non-integer count itself
@@ -374,21 +362,12 @@ class TestEntryPoint:
         assert "spinctrl" in proc.stdout
 
 
-@pytest.mark.parametrize(
-    "flags",
-    [
-        ["--dt", "1e153"],
-        ["--surrogate", "signum", "--bound", "1e-150"],
-        ["--kt", "1e-300"],
-        ["--kt", "1e307"],
-    ],
-    ids=["dt_1e153", "signum_bound_1e-150", "kt_1e-300", "kt_1e307"],
-)
-def test_large_but_finite_gradient_scale_runs(tmp_path, flags):
+@pytest.mark.parametrize("case", list(LARGE_BUT_FINITE.values()), ids=list(LARGE_BUT_FINITE))
+def test_large_but_finite_gradient_scale_runs(tmp_path, case):
     # 2 * n_pulses * (dt + 1/(n_pulses * min(bound, 1)))^2, bound / (2 * kT) and
-    # 2 * kT are finite here, so the config check admits these runs, and they
+    # 2 * kT are finite here, so the scale checks admit these runs, and they
     # finish without an overflow warning.
     code = main(["run", "--target", "not3", "--n-pulses", "4", "--restarts", "1",
-                 "--output-dir", str(tmp_path), *flags])
+                 "--output-dir", str(tmp_path), *flags(case)])
     assert code == 0
     assert (tmp_path / "result.json").exists()

@@ -16,6 +16,7 @@ from dense_reference import (
     kron_chain,
     on_sites,
 )
+from scale_cases import PHASE_OVERFLOW, experiment
 from spinctrl.model import (
     ChainSpec,
     ControlSequence,
@@ -30,6 +31,7 @@ from spinctrl.model import (
     slice_operators,
     target_unitary,
 )
+from spinctrl.objective import penalty
 
 
 def random_seq(rng, n, dt=0.2, bound=10.0, scale=1.0):
@@ -143,6 +145,30 @@ class TestSpecs:
     @pytest.mark.parametrize("value,minimum", [(1, 1), (0, 0), (np.int64(7), 2)])
     def test_check_count_accepts(self, value, minimum):
         check_count("count", value, minimum)
+
+    def test_bound_has_no_slack(self):
+        # |h| <= bound holds exactly, whatever the scale of the bound, so the
+        # penalty stays at most 1 (an absolute slack of 1e-12 admitted 1e-13
+        # at bound 1e-300, a penalty of 5e286).
+        for bound in (1e-300, 1.0, 50.0):
+            with pytest.raises(ValueError, match="exceed the bound"):
+                ControlSequence(hx=[np.nextafter(bound, 2 * bound)], hy=[0.0], dt=0.2, bound=bound)
+        with pytest.raises(ValueError, match="exceed the bound"):
+            ControlSequence(hx=[1e-13], hy=[0.0], dt=0.2, bound=1e-300)
+        seq = ControlSequence(hx=[-1e-300], hy=[1e-300], dt=0.2, bound=1e-300)
+        assert penalty(seq) == 1.0
+
+    def test_check_phase(self):
+        # duration times the norm bound at the amplitude must be finite, and
+        # numpy scalars overflow in it without a warning
+        spec = ChainSpec(n_sites=3, env_enabled=True, gamma=0.1)
+        limit = np.finfo(float).max / spec.norm_bound(50.0)
+        spec.check_phase(0.5 * limit, 50.0)
+        for duration, amplitude in [(2.0 * limit, 50.0), (math.inf, 0.0), (1.0, 1e308)]:
+            with pytest.raises(ValueError, match="not finite"):
+                spec.check_phase(duration, amplitude)
+        with pytest.raises(ValueError, match="not finite"):
+            ChainSpec(n_sites=3, env_enabled=True, gamma=np.float64(1e306)).check_phase(0.4, 50.0)
 
     def test_sequence_vector_roundtrip(self):
         seq = ControlSequence(hx=[1.0, -2.0], hy=[0.5, 3.0], dt=0.1, bound=5.0)
@@ -439,6 +465,13 @@ class TestPropagate:
         assert np.array_equal(propagate(spec, seq2), u2)
         assert np.array_equal(u1, kept) and not np.array_equal(u1, u2)
 
+    @pytest.mark.parametrize("env", [False, True])
+    @pytest.mark.parametrize("case", PHASE_OVERFLOW, ids="-".join)
+    def test_overflowing_phases_raise(self, case, env):
+        # two equal slices, which propagate merges into one of duration 2*dt
+        seq, _ = experiment(case, 2)
+        with pytest.raises(ValueError, match="not finite"):
+            propagate(ChainSpec(n_sites=3, env_enabled=env), seq)
 
     @pytest.mark.parametrize("env,gamma", [(False, 0.0), (True, 0.0), (True, 0.1)])
     def test_runs_match_slice_by_slice(self, env, gamma):
@@ -567,6 +600,21 @@ class TestBlochTrajectories:
                 assert np.allclose(traj[j], expected, rtol=0.0, atol=1e-10)
                 if j < seq.n:
                     psi = scipy.linalg.expm(-1j * seq.dt * hams[j]) @ psi
+
+    @pytest.mark.parametrize("case", PHASE_OVERFLOW, ids="-".join)
+    def test_overflowing_phases_raise(self, case):
+        seq, _ = experiment(case, 2)
+        with pytest.raises(ValueError, match="not finite"):
+            bloch_trajectories(ChainSpec(n_sites=3), seq, "000")
+
+    def test_checks_each_slice_not_the_run(self):
+        # no slices are merged, so one slice's phases bound them all: here
+        # finite, while a run of both slices would overflow in propagate
+        spec = ChainSpec(n_sites=3)
+        seq = ControlSequence.zeros(2, 0.75 * np.finfo(float).max / spec.norm_bound(50.0), 50.0)
+        assert np.all(np.isfinite(bloch_trajectories(spec, seq, "000")))
+        with pytest.raises(ValueError, match="not finite"):
+            propagate(spec, seq)
 
     def test_invalid_label(self):
         spec = ChainSpec(n_sites=2)

@@ -51,6 +51,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             ObjectiveConfig(mu=0.5, kT=float("nan"))
 
+    def test_check_scales(self):
+        # (n, dt, bound, kT): the gradient scale 2n(dt + 1/(n min(bound, 1)))^2,
+        # bound/(2kT) and 2kT must be finite; a numpy kT overflows without a warning
+        ObjectiveConfig(mu=0.5, kT=1e-300).check_scales(4, 1e153, 50.0)
+        for n, dt, bound, kT in [
+            (2, 1e300, 50.0, 0.01),
+            (2, 0.2, 1e-300, 0.01),
+            (2, 0.2, 50.0, np.float64(1e-308)),
+            (2, 0.2, 50.0, 1e308),
+        ]:
+            with pytest.raises(ValueError, match="not finite"):
+                ObjectiveConfig(mu=0.5, kT=kT).check_scales(n, dt, bound)
+
     def test_env_chain_rejected(self):
         with pytest.raises(ValueError):
             PulseObjective(

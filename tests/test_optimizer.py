@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from scale_cases import LARGE_BUT_FINITE, NOT3, PHASE_OVERFLOW, SCALE_OVERFLOW, experiment
 from spinctrl.model import ChainSpec, ControlSequence, TargetGate, propagate, target_unitary
 from spinctrl.objective import (
     ObjectiveConfig,
@@ -427,3 +428,22 @@ class TestOptimizeControls:
         assert np.max(np.abs(x)) <= 0.2
         assert np.array_equal(x, b.best_seq.pulse_vector())
         assert a.G == b.G
+
+    @pytest.mark.parametrize("case", PHASE_OVERFLOW + SCALE_OVERFLOW, ids="-".join)
+    def test_overflowing_scale_raises_before_optimizing(self, case, monkeypatch):
+        # The inputs on which the CLI exits 2: the library rejects them too,
+        # before the first BFGS run.
+        monkeypatch.setattr("spinctrl.optimizer.bfgs_minimize", None)
+        seq, cfg = experiment(case, 2)
+        with pytest.raises(ValueError, match="not finite"):
+            optimize_controls(*NOT3, seq, cfg, OptimizerConfig(restarts=1))
+
+    @pytest.mark.parametrize(
+        "case", list(LARGE_BUT_FINITE.values()), ids=list(LARGE_BUT_FINITE)
+    )
+    def test_large_but_finite_scales_optimize(self, case):
+        # The library twin of the CLI's large-but-finite runs: the checks admit
+        # them, and the run raises no overflow warning (an error under pytest).
+        seq, cfg = experiment(case, 4)
+        res = optimize_controls(*NOT3, seq, cfg, OptimizerConfig(restarts=1))
+        assert np.isfinite(res.G)
