@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Runs each CLI case below twice, in separate processes, and compares the
-# named output files byte for byte. Exits non-zero on the first difference,
-# and on any numpy RuntimeWarning (overflow, invalid value), which is an error.
+# named output files byte for byte. The second process runs with one BLAS
+# thread (OPENBLAS_NUM_THREADS=1), so each case also checks that the output
+# does not depend on the BLAS thread count. Exits non-zero on the first
+# difference, and on any numpy RuntimeWarning (overflow, invalid value), which
+# is an error.
 #
 #   scripts/check_determinism.sh [WORK_DIR]
 #
@@ -15,9 +18,9 @@ work="${1:-$(mktemp -d)}"
 check() {
   local name=$1 files=$2
   shift 2
-  for d in a b; do
-    PYTHONPATH=src python -W error::RuntimeWarning -m spinctrl.cli "$@" --output-dir "$work/$name-$d"
-  done
+  PYTHONPATH=src python -W error::RuntimeWarning -m spinctrl.cli "$@" --output-dir "$work/$name-a"
+  OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -W error::RuntimeWarning -m spinctrl.cli "$@" \
+    --output-dir "$work/$name-b"
   for f in $files; do
     cmp "$work/$name-a/$f" "$work/$name-b/$f"
   done

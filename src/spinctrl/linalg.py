@@ -11,15 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def reinterpret(a: np.ndarray, dtype, shape) -> np.ndarray:
-    """View of the memory of the C-contiguous array ``a`` as ``dtype`` with
-    ``shape``, e.g. a complex (n, d, d) stack as a real (n, d, 2d) one whose
-    columns interleave real and imaginary parts."""
-    if not a.flags.c_contiguous:
-        raise ValueError("reinterpret needs a C-contiguous array")
-    return a.reshape(-1).view(dtype).reshape(shape)
-
-
 def partial_trace_last_qubit(m: np.ndarray) -> np.ndarray:
     """Trace out the final two-dimensional tensor factor of a square matrix."""
     m = np.asarray(m, dtype=np.complex128)

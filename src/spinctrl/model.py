@@ -10,7 +10,7 @@ kernel per call and read the last propagator or every slice boundary from
 it; ``propagate`` needs no inner boundary, so it runs each run of equal
 slices as one slice of the run's duration. The pulse objective keeps one
 kernel of every slice for its whole life, so that its evaluations reuse the
-same memory, and assembles its gradient from it.
+same memory, and takes its gradient from the kernel's ``trace_gradient``.
 
 The kernel works in the chain's symmetry sectors. The isotropic drift and
 star coupling commute with rotations about z, so a slice with field (hx, hy)
@@ -44,8 +44,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import linalg
 
 
 def check_count(name: str, value, minimum: int) -> None:
@@ -257,6 +255,15 @@ def slice_operators(n_sites: int, env_enabled: bool) -> SliceOperators:
     return ops
 
 
+def _reinterpret(a: np.ndarray, dtype, shape) -> np.ndarray:
+    """View of the memory of the C-contiguous array ``a`` as ``dtype`` with
+    ``shape``, e.g. a complex (n, d, d) stack as a real (n, d, 2d) one whose
+    columns interleave real and imaginary parts."""
+    if not a.flags.c_contiguous:
+        raise ValueError("reinterpret needs a C-contiguous array")
+    return a.reshape(-1).view(dtype).reshape(shape)
+
+
 def eigh_stack(h_stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched eigendecomposition of a stack of real symmetric (or Hermitian)
     matrices; only their lower triangles are read."""
@@ -276,12 +283,11 @@ class SliceKernel:
       eigenvectors V = phase[:, :, None] * rot (see ``diagonalize``);
     - ``phi`` (n,): the field angle of each slice, 0 where the field is 0;
     - ``fwd`` (n + 1, dim, dim): entry 0 is the identity and entry j is
-      U_j ... U_2 U_1 (see ``forward``);
-    - ``stage`` (n, 2*dim, dim), real: scratch of the forward stage, whose
-      second real stack of that size is the memory of fwd[1:].
+      U_j ... U_2 U_1 (see ``forward``).
 
-    A caller may use ``stage`` and ``fwd`` as scratch once it has read them,
-    and copies whatever it keeps past the next run.
+    Scratch stacks of its own serve ``forward`` and ``trace_gradient``; the
+    latter's complex (n, dim, dim) one is allocated on its first call. A
+    caller copies whatever it keeps past the next run.
     """
 
     def __init__(self, spec: ChainSpec, n: int):
@@ -294,7 +300,8 @@ class SliceKernel:
         self.phi = np.empty(n)
         self.phase = np.empty((n, dim), dtype=np.complex128)
         self.fwd = np.empty((n + 1, dim, dim), dtype=np.complex128)
-        self.stage = np.empty((n, 2 * dim, dim))
+        self._stage = np.empty((n, 2 * dim, dim))
+        self._work = None
 
     def run(self, hx: np.ndarray, hy: np.ndarray, dt: float | np.ndarray) -> None:
         """Fill the eigensystem and the cumulative propagators of the slices
@@ -346,14 +353,15 @@ class SliceKernel:
         per-slice durations broadcast against ``evals``.
         This is the only place where slice propagators are formed or
         multiplied."""
+        self._dt = dt
         n, dim, rot, fwd = self.n, self.dim, self.rot, self.fwd
         trig = np.stack([np.cos(dt * self.evals), -np.sin(dt * self.evals)], axis=1)
         # R cos R^T over -R sin R^T: both real products in one, stacked by rows,
-        # written into fwd[1:] until the propagators are assembled in stage.
-        np.multiply(rot[:, None], trig[:, :, None, :], out=self.stage.reshape(n, 2, dim, dim))
-        parts = linalg.reinterpret(fwd[1:], np.float64, (n, 2 * dim, dim))
-        np.matmul(self.stage, rot.swapaxes(-1, -2), out=parts)
-        props = linalg.reinterpret(self.stage, np.complex128, (n, dim, dim))
+        # written into fwd[1:] until the propagators are assembled in _stage.
+        np.multiply(rot[:, None], trig[:, :, None, :], out=self._stage.reshape(n, 2, dim, dim))
+        parts = _reinterpret(fwd[1:], np.float64, (n, 2 * dim, dim))
+        np.matmul(self._stage, rot.swapaxes(-1, -2), out=parts)
+        props = _reinterpret(self._stage, np.complex128, (n, dim, dim))
         props.real = parts[:, :dim]
         props.imag = parts[:, dim:]
         props *= self.phase[:, :, None]
@@ -361,6 +369,67 @@ class SliceKernel:
         fwd[0] = np.eye(dim)
         for j in range(n):
             np.matmul(props[j], fwd[j], out=fwd[j + 1])
+
+    def trace_gradient(self, overlap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Derivatives of Tr(A U) with respect to every hx_j and hy_j (two
+        complex (n,) arrays) after a ``run`` with one duration for every slice,
+        where U = fwd[n] and ``overlap`` = A U for any (dim, dim) A. Overwrites
+        fwd[:n] and the scratch stacks; keeps the eigensystem and fwd[n]."""
+        if np.ndim(self._dt) != 0:
+            raise ValueError("the gradient needs one duration for every slice")
+        n, dt, dim = self.n, self._dt, self.dim
+        if self._work is None:
+            self._work = np.empty((n, dim, dim), dtype=np.complex128)
+        # U = B_j U_j F_j with F_j = fwd[j] and B_j = U F_j^† U_j^†, so with
+        # the eigenbasis V_j = D_j R_j of slice j, dTr(A U) along a control σ
+        # on it is Tr(σ V_j X_j V_j^†), X_j = S_j ∘ K_j, where C_j = F_j^† V_j,
+        # S_j = C_j^† (A U) C_j and K_ab = -i*dt*h_a*conj(h_b)*
+        # sinc(dt*(λ_a-λ_b)/2π), h = e^(-i*dt*λ/2): the divided difference of
+        # e^(-i*dt*λ) at (λ_a, λ_b) times conj(h_b²), exact at coincident
+        # eigenvalues. work ends up holding X' = X / (-i*dt). Besides rot, the
+        # stages use three complex-sized stacks: work, stage and fwd[:n],
+        # which is free once D^†F is formed.
+        rot, fwd, stage, work = self.rot, self.fwd[:n], self._stage, self._work
+        stage_c = _reinterpret(stage, np.complex128, (n, dim, dim))
+        # work = diag(h) C^† = diag(h) R^T (D^† F): a real product on the
+        # interleaved float view of D^† F, then a row scaling.
+        np.multiply(self.phase.conj()[:, :, None], fwd, out=stage_c)
+        np.matmul(
+            rot.swapaxes(-1, -2),
+            _reinterpret(stage_c, np.float64, (n, dim, 2 * dim)),
+            out=_reinterpret(work, np.float64, (n, dim, 2 * dim)),
+        )
+        work *= np.exp(-0.5j * dt * self.evals)[:, :, None]
+        # S ∘ (h_a conj(h_b)) = (diag(h) C^† A U)(C diag(conj(h))), whose
+        # right factor is the transposed conjugate of work.
+        np.matmul(work, overlap, out=fwd)
+        np.conjugate(work, out=stage_c)
+        np.matmul(fwd, stage_c.swapaxes(-1, -2), out=work)
+        arg, sinc = _reinterpret(stage, np.float64, (2, n, dim, dim))
+        half_dt_evals = (0.5 * dt) * self.evals
+        np.subtract(half_dt_evals[:, :, None], half_dt_evals[:, None, :], out=arg)
+        arg[arg == 0.0] = 1e-20  # sin(y)/y is then exactly 1, as in np.sinc
+        np.sin(arg, out=sinc)
+        sinc /= arg
+        work *= sinc
+
+        # With D = diag(e^(-i*φ*m/2)), P the site-1 bit flip k -> k ^ (dim/2)
+        # and Z its σz signs, D^†σx^1 D = cos φ·P - i sin φ·PZ and
+        # D^†σy^1 D = sin φ·P + i cos φ·PZ. So Tr(σ V X V^†) needs only
+        # a = Σ Px∘X and b = Σ Pz∘X with the real Px = R^T P R = M + M^T and
+        # Pz = R^T Z P R = M^T - M, where M = R_set^T R_clear from the rows of
+        # R whose site-1 bit is clear (the first half) and set (the second).
+        half_dim = dim // 2
+        clear, set_ = rot[:, :half_dim], rot[:, half_dim:]
+        m = stage.reshape(n, 2, dim, dim)
+        np.matmul(set_.swapaxes(-1, -2), clear, out=m[:, 0])
+        np.matmul(clear.swapaxes(-1, -2), set_, out=m[:, 1])
+        # sums[:, i] = Σ M∘X' and Σ M^T∘X' as (real, imaginary) pairs.
+        sums = stage.reshape(n, 2, dim * dim) @ _reinterpret(work, np.float64, (n, dim * dim, 2))
+        sum_m, sum_mt = (-1j * dt) * (sums[:, :, 0] + 1j * sums[:, :, 1]).T
+        a, b = sum_m + sum_mt, sum_mt - sum_m
+        cos_phi, sin_phi = np.cos(self.phi), np.sin(self.phi)
+        return cos_phi * a - 1j * sin_phi * b, sin_phi * a + 1j * cos_phi * b
 
 
 def propagate(spec: ChainSpec, seq: ControlSequence) -> np.ndarray:

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .model import (
     ChainSpec,
     ControlSequence,
     SliceKernel,
     TargetGate,
+    check_count,
     target_unitary,
 )
 
@@ -108,19 +108,15 @@ class PulseObjective:
     """Evaluates the minimized functional and its exact gradient for a flat
     pulse vector x = [hx_1..hx_n, hy_1..hy_n].
 
-    The fidelity gradient is exact: each slice propagator is differentiated
-    through its eigendecomposition with the divided-difference kernel of
-    t -> exp(-i*dt*t), and the chain rule is assembled from the cumulative
-    products of the slice propagators and the total propagator.
+    The fidelity gradient is exact: the slice kernel differentiates each
+    slice propagator through its eigendecomposition (see
+    ``SliceKernel.trace_gradient``).
 
-    The objective owns one ``SliceKernel`` and one complex (n, dim, dim)
-    stack for its whole life, and every evaluation writes into them, so a
-    warm evaluation allocates no stack of that size. The gradient uses the
-    kernel's ``stage`` and ``fwd`` as scratch once it has read them, and its
-    products are real wherever the eigenvectors V = D R enter: no complex
-    eigenvector stack is formed. An objective therefore evaluates one point
-    at a time (it is not re-entrant); the value and gradient it returns are
-    its own and do not change on later calls.
+    The objective owns one ``SliceKernel`` for its whole life, and every
+    evaluation writes into its arrays, so a warm evaluation allocates no
+    (n, dim, dim) stack. An objective therefore evaluates one point at a time
+    (it is not re-entrant); the value and gradient it returns are its own and
+    do not change on later calls.
     """
 
     def __init__(
@@ -132,6 +128,7 @@ class PulseObjective:
         bound: float,
         cfg: ObjectiveConfig,
     ):
+        check_count("n", n, 1)
         if spec.env_enabled:
             raise ValueError("pulses are optimized on the bare chain; disable the environment qubit")
         if target.n_sites != spec.n_sites:
@@ -146,72 +143,15 @@ class PulseObjective:
         self.dim = spec.dim
         self._ut_dag = target_unitary(target).conj().T
         self._kernel = SliceKernel(spec, self.n)
-        self._work = np.empty((self.n, self.dim, self.dim), dtype=np.complex128)
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        n, dt, dim, cfg = self.n, self.dt, self.dim, self.cfg
+        n, dim, cfg = self.n, self.dim, self.cfg
         x = np.asarray(x, dtype=np.float64)
-        hx, hy = x[:n], x[n:]
-
-        kernel = self._kernel
-        kernel.run(hx, hy, dt)
-        overlap = self._ut_dag @ kernel.fwd[n]
+        self._kernel.run(x[:n], x[n:], self.dt)
+        overlap = self._ut_dag @ self._kernel.fwd[n]
         z = np.trace(overlap)
         fid = abs(z) / dim
-
-        # U = B_j U_j F_j with F_j = fwd[j] and B_j = U F_j^† U_j^†, so with
-        # the eigenbasis V_j = D_j R_j of slice j, dTr(U_T^† U) along a control
-        # σ on it is Tr(σ V_j X_j V_j^†), X_j = S_j ∘ K_j, where C_j = F_j^† V_j,
-        # S_j = C_j^† (U_T^† U) C_j and K_ab = -i*dt*h_a*conj(h_b)*
-        # sinc(dt*(λ_a-λ_b)/2π), h = e^(-i*dt*λ/2): the divided difference of
-        # e^(-i*dt*λ) at (λ_a, λ_b) times conj(h_b²), exact at coincident
-        # eigenvalues. work ends up holding X' = X / (-i*dt). Besides rot, the
-        # stages use three complex-sized stacks: work, the kernel's stage and
-        # fwd[:n], which is free once D^†F is formed.
-        rot, fwd, stage, work = kernel.rot, kernel.fwd[:n], kernel.stage, self._work
-        stage_c = linalg.reinterpret(stage, np.complex128, (n, dim, dim))
-        # work = diag(h) C^† = diag(h) R^T (D^† F): a real product on the
-        # interleaved float view of D^† F, then a row scaling.
-        np.multiply(kernel.phase.conj()[:, :, None], fwd, out=stage_c)
-        np.matmul(
-            rot.swapaxes(-1, -2),
-            linalg.reinterpret(stage_c, np.float64, (n, dim, 2 * dim)),
-            out=linalg.reinterpret(work, np.float64, (n, dim, 2 * dim)),
-        )
-        work *= np.exp(-0.5j * dt * kernel.evals)[:, :, None]
-        # S ∘ (h_a conj(h_b)) = (diag(h) C^† U_T^† U)(C diag(conj(h))), whose
-        # right factor is the transposed conjugate of work.
-        np.matmul(work, overlap, out=fwd)
-        np.conjugate(work, out=stage_c)
-        np.matmul(fwd, stage_c.swapaxes(-1, -2), out=work)
-        arg, sinc = linalg.reinterpret(stage, np.float64, (2, n, dim, dim))
-        half_dt_evals = (0.5 * dt) * kernel.evals
-        np.subtract(half_dt_evals[:, :, None], half_dt_evals[:, None, :], out=arg)
-        arg[arg == 0.0] = 1e-20  # sin(y)/y is then exactly 1, as in np.sinc
-        np.sin(arg, out=sinc)
-        sinc /= arg
-        work *= sinc
-
-        # With D = diag(e^(-i*φ*m/2)), P the site-1 bit flip k -> k ^ (dim/2)
-        # and Z its σz signs, D^†σx^1 D = cos φ·P - i sin φ·PZ and
-        # D^†σy^1 D = sin φ·P + i cos φ·PZ. So Tr(σ V X V^†) needs only
-        # a = Σ Px∘X and b = Σ Pz∘X with the real Px = R^T P R = M + M^T and
-        # Pz = R^T Z P R = M^T - M, where M = R_set^T R_clear from the rows of
-        # R whose site-1 bit is clear (the first half) and set (the second).
-        half_dim = dim // 2
-        clear, set_ = rot[:, :half_dim], rot[:, half_dim:]
-        m = stage.reshape(n, 2, dim, dim)
-        np.matmul(set_.swapaxes(-1, -2), clear, out=m[:, 0])
-        np.matmul(clear.swapaxes(-1, -2), set_, out=m[:, 1])
-        # sums[:, i] = Σ M∘X' and Σ M^T∘X' as (real, imaginary) pairs.
-        sums = stage.reshape(n, 2, dim * dim) @ linalg.reinterpret(
-            work, np.float64, (n, dim * dim, 2)
-        )
-        sum_m, sum_mt = (-1j * dt) * (sums[:, :, 0] + 1j * sums[:, :, 1]).T
-        a, b = sum_m + sum_mt, sum_mt - sum_m
-        cos_phi, sin_phi = np.cos(kernel.phi), np.sin(kernel.phi)
-        tx = cos_phi * a - 1j * sin_phi * b
-        ty = sin_phi * a + 1j * cos_phi * b
+        tx, ty = self._kernel.trace_gradient(overlap)
 
         if abs(z) < GRAD_PHASE_EPSILON:
             dfid_x = np.zeros(n)

@@ -1,9 +1,10 @@
 """Dense references for the slice kernel, built without it.
 
 ``dense_slice_hamiltonians`` assembles every slice Hamiltonian from explicit
-Kronecker factors, and ``dense_value_and_grad`` evaluates the pulse objective
-by diagonalizing that dense complex stack, as the package did before its
-kernel moved to symmetry sectors.
+Kronecker factors, and ``dense_propagator`` and ``dense_value_and_grad``
+propagate them and evaluate the pulse objective by diagonalizing that dense
+complex stack, as the package did before its kernel moved to symmetry
+sectors.
 """
 
 import numpy as np
@@ -54,6 +55,15 @@ def dense_slice_hamiltonians(spec, hx, hy):
     if star is not None:
         h = h + (spec.gamma * (np.abs(hx) + np.abs(hy)))[:, None, None] * star
     return h
+
+
+def dense_propagator(spec, hx, hy, dt):
+    """U_n ... U_1 from a dense complex eigh of every slice Hamiltonian."""
+    evals, evecs = np.linalg.eigh(dense_slice_hamiltonians(spec, hx, hy))
+    u = np.eye(spec.dim, dtype=complex)
+    for lam, v in zip(evals, evecs):
+        u = (v * np.exp(-1j * dt * lam)) @ v.conj().T @ u
+    return u
 
 
 def dense_value_and_grad(spec, target, dt, bound, cfg, x):

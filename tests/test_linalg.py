@@ -110,12 +110,6 @@ class TestPartialTraceLastQubit:
             linalg.partial_trace_last_qubit(np.eye(3))
 
 
-def test_reinterpret_rejects_non_contiguous():
-    a = np.zeros((4, 4), dtype=np.complex128)
-    with pytest.raises(ValueError):
-        linalg.reinterpret(a[:, ::2], np.float64, (4, 4))
-
-
 class TestTraceNorm:
     def test_zero_matrix(self):
         assert linalg.trace_norm(np.zeros((4, 4))) == 0.0

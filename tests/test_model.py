@@ -12,6 +12,7 @@ from dense_reference import (
     SY,
     SZ,
     dense_operators,
+    dense_propagator,
     dense_slice_hamiltonians,
     kron_chain,
     on_sites,
@@ -22,6 +23,7 @@ from spinctrl.model import (
     ControlSequence,
     TargetGate,
     _exchange_sum,
+    _reinterpret,
     bloch_trajectories,
     check_count,
     eigh_stack,
@@ -514,6 +516,53 @@ class TestPropagate:
         scalar = kernel.fwd.copy()
         kernel.forward(np.full((seq.n, 1), seq.dt))
         assert np.array_equal(kernel.fwd, scalar)
+
+
+class TestTraceGradient:
+    """SliceKernel.trace_gradient against central differences of Tr(A U) for
+    a general complex A, with U from the dense reference."""
+
+    @pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
+    def test_matches_central_differences(self, n_sites):
+        rng = np.random.default_rng(60 + n_sites)
+        spec, dt, step = ChainSpec(n_sites=n_sites), 0.2, 1e-5
+        a = rng.normal(size=(spec.dim, spec.dim)) + 1j * rng.normal(size=(spec.dim, spec.dim))
+        # fields of exactly 0.0 and -0.0 (phi taken as 0), and two equal slices
+        hx = np.array([0.0, 0.0, 0.7, 0.7, -1.2, 0.4])
+        hy = np.array([0.0, -0.0, -0.4, -0.4, 0.0, -1.1])
+        kernel = SliceKernel(spec, hx.size)
+        kernel.run(hx, hy, dt)
+        got = np.concatenate(kernel.trace_gradient(a @ kernel.fwd[-1]))
+        x = np.concatenate([hx, hy])
+        fd = np.empty(x.size, dtype=complex)
+        for i in range(x.size):
+            e = np.zeros(x.size)
+            e[i] = step
+            plus, minus = (np.trace(a @ dense_propagator(spec, *np.split(x + sign * e, 2), dt))
+                           for sign in (1, -1))
+            fd[i] = (plus - minus) / (2 * step)
+        assert np.max(np.abs(got - fd)) < 1e-8 * spec.dim
+
+    def test_keeps_the_eigensystem_and_total_propagator(self):
+        rng = np.random.default_rng(3)
+        kernel = SliceKernel(ChainSpec(n_sites=3), 8)
+        kernel.run(*rng.uniform(-1.0, 1.0, (2, 8)), 0.2)
+        kept = [kernel.evals.copy(), kernel.rot.copy(), kernel.phase.copy(), kernel.fwd[-1].copy()]
+        kernel.trace_gradient(kernel.fwd[-1].conj().T)
+        for before, after in zip(kept, (kernel.evals, kernel.rot, kernel.phase, kernel.fwd[-1])):
+            assert np.array_equal(before, after)
+
+    def test_needs_one_duration(self):
+        kernel = SliceKernel(ChainSpec(n_sites=2), 2)
+        kernel.run(np.ones(2), np.zeros(2), np.full((2, 1), 0.2))
+        with pytest.raises(ValueError, match="one duration"):
+            kernel.trace_gradient(np.eye(4))
+
+
+def test_reinterpret_rejects_non_contiguous():
+    a = np.zeros((4, 4), dtype=np.complex128)
+    with pytest.raises(ValueError):
+        _reinterpret(a[:, ::2], np.float64, (4, 4))
 
 
 class TestPropagateWithEnv:

@@ -64,6 +64,11 @@ class TestConfig:
             with pytest.raises(ValueError, match="not finite"):
                 ObjectiveConfig(mu=0.5, kT=kT).check_scales(n, dt, bound)
 
+    @pytest.mark.parametrize("n", [0, True])
+    def test_slice_count_checked(self, n):
+        with pytest.raises(ValueError, match="n must be"):
+            PulseObjective(ChainSpec(2), TargetGate("NOT", 2), n, 0.2, 10.0, ObjectiveConfig(mu=0.5))
+
     def test_env_chain_rejected(self):
         with pytest.raises(ValueError):
             PulseObjective(
