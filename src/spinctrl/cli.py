@@ -62,12 +62,12 @@ class ExperimentConfig:
     dt: float = _param(float, "slice duration", 0.2)
     mu: float | None = _param(float, "fidelity weight")
     bound: float = _param(float, "max pulse amplitude", 50.0)
-    surrogate: str = _param(str, "d|x|/dx stand-in", "fermi_dirac", choices=SURROGATES)
-    alpha: float = _param(float, "fractional surrogate exponent", 0.99)
-    kT: float = _param(float, "Fermi-Dirac temperature", 0.01)
-    gamma: float = _param(float, "environment coupling coefficient", 0.1)
-    seed: int = _param(int, "RNG seed", 0)
-    restarts: int = _param(int, "independent BFGS restarts", 8)
+    surrogate: str = _param(str, "d|x|/dx stand-in", ObjectiveConfig.surrogate, choices=SURROGATES)
+    alpha: float = _param(float, "fractional surrogate exponent", ObjectiveConfig.alpha)
+    kT: float = _param(float, "Fermi-Dirac temperature", ObjectiveConfig.kT)
+    gamma: float = _param(float, "environment coupling coefficient", ChainSpec.gamma)
+    seed: int = _param(int, "RNG seed", OptimizerConfig.seed)
+    restarts: int = _param(int, "independent BFGS restarts", OptimizerConfig.restarts)
     output_dir: str = _param(str, "directory for result files", ".")
     initial_state: str | None = _param(str, "basis state for trajectories")
     min_fidelity: float | None = _param(

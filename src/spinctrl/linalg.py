@@ -1,9 +1,9 @@
 """Dense linear algebra helpers for small multi-qubit operators.
 
-Operators in this package never exceed dim 32 (four chain qubits plus one
-environment qubit), so all routines are dense. The chain's operators and
-target gates are built in ``spinctrl.model``, and exponentiation of
-Hamiltonians lives in its slice kernel.
+The CLI's targets give operators of dim at most 32 (four chain qubits plus one
+environment qubit); longer chains, which ``ChainSpec`` accepts, stay dense too.
+The chain's operators and target gates are built in ``spinctrl.model``, and
+exponentiation of Hamiltonians lives in its slice kernel.
 """
 
 from __future__ import annotations

@@ -1,16 +1,16 @@
 """Heisenberg spin-chain model and its slice kernel.
 
-One kernel, ``SliceKernel(spec, n)``, owns the arrays of a run of n slices
-on the bare chain or on chain + environment qubit: it allocates them once,
-and each ``run(hx, hy, dt)`` fills them in place with the eigensystem of
-every piecewise-constant slice Hamiltonian and the cumulative propagators
-U_j ... U_1 (its ``forward`` stage is the only place where slice propagators
-are formed or multiplied). ``propagate`` and ``bloch_trajectories`` build a
-kernel per call and read the last propagator or every slice boundary from
-it; ``propagate`` needs no inner boundary, so it runs each run of equal
-slices as one slice of the run's duration. The pulse objective keeps one
-kernel of every slice for its whole life, so that its evaluations reuse the
-same memory, and takes its gradient from the kernel's ``trace_gradient``.
+One kernel, ``SliceKernel(spec, durations)``, owns the arrays of slices of
+the given durations on the bare chain or on chain + environment qubit: it
+allocates them once, and each ``run(hx, hy)`` fills them in place with the
+eigensystem of every piecewise-constant slice Hamiltonian and the cumulative
+propagators U_j ... U_1 (its ``forward`` stage is the only place where slice
+propagators are formed or multiplied). ``propagate`` and ``bloch_trajectories``
+build a kernel per call and read the last propagator or every slice boundary
+from it; ``propagate`` needs no inner boundary, so it gives each run of equal
+slices one slice of the run's duration. The pulse objective keeps one kernel
+of every slice for its whole life, so that its evaluations reuse the same
+memory, and takes its gradient from the kernel's ``trace_gradient``.
 
 The kernel works in the chain's symmetry sectors. The isotropic drift and
 star coupling commute with rotations about z, so a slice with field (hx, hy)
@@ -52,6 +52,12 @@ def check_count(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer, not {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, not {value}")
+
+
+def check_positive(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a positive finite number."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -116,10 +122,8 @@ class ControlSequence:
             raise ValueError("hx and hy must be 1-D arrays of equal length")
         if hx.size < 1:
             raise ValueError("at least one pulse slice is required")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError("dt must be positive and finite")
-        if not (math.isfinite(self.bound) and self.bound > 0):
-            raise ValueError("bound must be positive and finite")
+        check_positive("dt", self.dt)
+        check_positive("bound", self.bound)
         if not (np.all(np.isfinite(hx)) and np.all(np.isfinite(hy))):
             raise ValueError("pulse amplitudes must be finite")
         if max(np.max(np.abs(hx)), np.max(np.abs(hy))) > self.bound:
@@ -271,12 +275,12 @@ def eigh_stack(h_stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class SliceKernel:
-    """The slice kernel of a chain for ``n`` slices, and the arrays it fills.
+    """The slice kernel of a chain for n slices, and the arrays it fills.
 
     It shares the chain's ``slice_operators`` with every other kernel of the
-    same chain length and environment flag, and keeps the spec's ``gamma``.
-    The arrays are allocated once, here, and every ``run(hx, hy, dt)``
-    overwrites them in place:
+    same chain length and environment flag, keeps the spec's ``gamma`` and
+    copies the (n,) slice ``durations`` into an (n, 1) column. The arrays are
+    allocated once, here, and every ``run(hx, hy)`` overwrites them in place:
 
     - ``evals`` (n, dim), ``rot`` (n, dim, dim) real orthogonal and ``phase``
       (n, dim): the factored eigensystem of every slice Hamiltonian, with
@@ -290,10 +294,11 @@ class SliceKernel:
     caller copies whatever it keeps past the next run.
     """
 
-    def __init__(self, spec: ChainSpec, n: int):
+    def __init__(self, spec: ChainSpec, durations: np.ndarray):
         self.ops = slice_operators(spec.n_sites, spec.env_enabled)
         self.gamma = spec.gamma
-        self.n, self.dim = int(n), self.ops.m.size
+        self.durations = np.array(durations, dtype=np.float64)[:, None]
+        self.n, self.dim = len(self.durations), self.ops.m.size
         n, dim = self.n, self.dim
         self.evals = np.empty((n, dim))
         self.rot = np.empty((n, dim, dim))
@@ -303,11 +308,11 @@ class SliceKernel:
         self._stage = np.empty((n, 2 * dim, dim))
         self._work = None
 
-    def run(self, hx: np.ndarray, hy: np.ndarray, dt: float | np.ndarray) -> None:
+    def run(self, hx: np.ndarray, hy: np.ndarray) -> None:
         """Fill the eigensystem and the cumulative propagators of the slices
-        with fields (hx_j, hy_j) and duration dt (see ``forward``)."""
+        with fields (hx_j, hy_j) (see ``forward``)."""
         self.diagonalize(hx, hy)
-        self.forward(dt)
+        self.forward()
 
     def diagonalize(self, hx: np.ndarray, hy: np.ndarray) -> None:
         """Eigensystem of every slice Hamiltonian H_j = drift + hx_j*Sx^1 +
@@ -344,17 +349,13 @@ class SliceKernel:
                 self.evals[:, cols] = lam
                 np.matmul(ops.basis[:, cols], w, out=self.rot[:, :, cols])
 
-    def forward(self, dt: float | np.ndarray) -> None:
+    def forward(self) -> None:
         """Cumulative propagators of the eigensystem held in ``evals``, ``rot``
-        and ``phase``: U_j = D_j R_j exp(-i*dt*evals_j) R_j^T D_j^dag with
-        D_j = diag(phase_j), i.e. the elementwise product of
-        phase_k*conj(phase_l) with R cos(dt*evals) R^T - i R sin(dt*evals) R^T.
-        ``dt`` is one duration for every slice, or an (n, 1) column of
-        per-slice durations broadcast against ``evals``.
-        This is the only place where slice propagators are formed or
-        multiplied."""
-        self._dt = dt
-        n, dim, rot, fwd = self.n, self.dim, self.rot, self.fwd
+        and ``phase``: U_j = D_j R_j exp(-i*dt_j*evals_j) R_j^T D_j^dag, with
+        dt_j = durations[j] and D_j = diag(phase_j), is the elementwise product
+        of phase_k*conj(phase_l) with R cos(dt_j*evals) R^T - i R sin(dt_j*evals) R^T.
+        This is the only place where slice propagators are formed or multiplied."""
+        n, dt, dim, rot, fwd = self.n, self.durations, self.dim, self.rot, self.fwd
         trig = np.stack([np.cos(dt * self.evals), -np.sin(dt * self.evals)], axis=1)
         # R cos R^T over -R sin R^T: both real products in one, stacked by rows,
         # written into fwd[1:] until the propagators are assembled in _stage.
@@ -370,25 +371,24 @@ class SliceKernel:
         for j in range(n):
             np.matmul(props[j], fwd[j], out=fwd[j + 1])
 
-    def trace_gradient(self, overlap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Derivatives of Tr(A U) with respect to every hx_j and hy_j (two
-        complex (n,) arrays) after a ``run`` with one duration for every slice,
-        where U = fwd[n] and ``overlap`` = A U for any (dim, dim) A. Overwrites
+    def trace_gradient(self, overlap: np.ndarray) -> np.ndarray:
+        """Derivatives of Tr(A U) with respect to every hx_j and hy_j after a
+        ``run``, one complex (2n,) vector ordered [hx; hy], where U = fwd[n] and
+        ``overlap`` = A U for any (dim, dim) A. With the environment qubit only
+        the site-1 field is differentiated, not the star coupling s_j. Overwrites
         fwd[:n] and the scratch stacks; keeps the eigensystem and fwd[n]."""
-        if np.ndim(self._dt) != 0:
-            raise ValueError("the gradient needs one duration for every slice")
-        n, dt, dim = self.n, self._dt, self.dim
+        n, dt, dim = self.n, self.durations, self.dim
         if self._work is None:
             self._work = np.empty((n, dim, dim), dtype=np.complex128)
         # U = B_j U_j F_j with F_j = fwd[j] and B_j = U F_j^† U_j^†, so with
         # the eigenbasis V_j = D_j R_j of slice j, dTr(A U) along a control σ
         # on it is Tr(σ V_j X_j V_j^†), X_j = S_j ∘ K_j, where C_j = F_j^† V_j,
         # S_j = C_j^† (A U) C_j and K_ab = -i*dt*h_a*conj(h_b)*
-        # sinc(dt*(λ_a-λ_b)/2π), h = e^(-i*dt*λ/2): the divided difference of
-        # e^(-i*dt*λ) at (λ_a, λ_b) times conj(h_b²), exact at coincident
-        # eigenvalues. work ends up holding X' = X / (-i*dt). Besides rot, the
-        # stages use three complex-sized stacks: work, stage and fwd[:n],
-        # which is free once D^†F is formed.
+        # sinc(dt*(λ_a-λ_b)/2π), h = e^(-i*dt*λ/2), dt the duration of slice
+        # j: the divided difference of e^(-i*dt*λ) at (λ_a, λ_b) times
+        # conj(h_b²), exact at coincident eigenvalues. work ends up holding
+        # X' = X / (-i*dt). Besides rot, the stages use three complex-sized
+        # stacks: work, stage and fwd[:n], which is free once D^†F is formed.
         rot, fwd, stage, work = self.rot, self.fwd[:n], self._stage, self._work
         stage_c = _reinterpret(stage, np.complex128, (n, dim, dim))
         # work = diag(h) C^† = diag(h) R^T (D^† F): a real product on the
@@ -426,10 +426,10 @@ class SliceKernel:
         np.matmul(clear.swapaxes(-1, -2), set_, out=m[:, 1])
         # sums[:, i] = Σ M∘X' and Σ M^T∘X' as (real, imaginary) pairs.
         sums = stage.reshape(n, 2, dim * dim) @ _reinterpret(work, np.float64, (n, dim * dim, 2))
-        sum_m, sum_mt = (-1j * dt) * (sums[:, :, 0] + 1j * sums[:, :, 1]).T
+        sum_m, sum_mt = ((-1j * dt) * (sums[:, :, 0] + 1j * sums[:, :, 1])).T
         a, b = sum_m + sum_mt, sum_mt - sum_m
         cos_phi, sin_phi = np.cos(self.phi), np.sin(self.phi)
-        return cos_phi * a - 1j * sin_phi * b, sin_phi * a + 1j * cos_phi * b
+        return np.concatenate([cos_phi * a - 1j * sin_phi * b, sin_phi * a + 1j * cos_phi * b])
 
 
 def propagate(spec: ChainSpec, seq: ControlSequence) -> np.ndarray:
@@ -444,8 +444,8 @@ def propagate(spec: ChainSpec, seq: ControlSequence) -> np.ndarray:
     hx, hy = seq.hx, seq.hy
     starts = np.flatnonzero(np.r_[True, (hx[1:] != hx[:-1]) | (hy[1:] != hy[:-1])])
     lengths = np.diff(np.r_[starts, seq.n])
-    kernel = SliceKernel(spec, starts.size)
-    kernel.run(hx[starts], hy[starts], seq.dt * lengths[:, None])
+    kernel = SliceKernel(spec, seq.dt * lengths)
+    kernel.run(hx[starts], hy[starts])
     # A copy, so that the caller does not keep the kernel's arrays alive.
     return kernel.fwd[-1].copy()
 
@@ -479,8 +479,8 @@ def bloch_trajectories(
     if spec.env_enabled:
         raise ValueError("Bloch trajectories are defined on the bare chain only")
     spec.check_phase(seq.dt, seq.bound)
-    kernel = SliceKernel(spec, seq.n)
-    kernel.run(seq.hx, seq.hy, seq.dt)
+    kernel = SliceKernel(spec, np.full(seq.n, seq.dt))
+    kernel.run(seq.hx, seq.hy)
     # psi[j]: the state after the first j slices.
     psi = kernel.fwd[:, :, index]
     out = np.empty((seq.n + 1, spec.n_sites, 3))

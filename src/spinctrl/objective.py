@@ -24,6 +24,7 @@ from .model import (
     SliceKernel,
     TargetGate,
     check_count,
+    check_positive,
     target_unitary,
 )
 
@@ -53,8 +54,7 @@ class ObjectiveConfig:
             raise ValueError(f"unknown surrogate {self.surrogate!r}; expected one of {SURROGATES}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if not (math.isfinite(self.kT) and self.kT > 0.0):
-            raise ValueError("kT must be positive and finite")
+        check_positive("kT", self.kT)
 
     def check_scales(self, n: int, dt: float, bound: float) -> None:
         """Raise ValueError unless, for n slices of duration dt and |h| <= bound, the optimizer's
@@ -133,6 +133,8 @@ class PulseObjective:
             raise ValueError("pulses are optimized on the bare chain; disable the environment qubit")
         if target.n_sites != spec.n_sites:
             raise ValueError("target and chain have different site counts")
+        check_positive("dt", dt)
+        check_positive("bound", bound)
         self.n = int(n)
         self.dt = float(dt)
         self.bound = float(bound)
@@ -142,28 +144,24 @@ class PulseObjective:
         self.cfg = cfg
         self.dim = spec.dim
         self._ut_dag = target_unitary(target).conj().T
-        self._kernel = SliceKernel(spec, self.n)
+        self._kernel = SliceKernel(spec, np.full(self.n, self.dt))
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         n, dim, cfg = self.n, self.dim, self.cfg
         x = np.asarray(x, dtype=np.float64)
-        self._kernel.run(x[:n], x[n:], self.dt)
+        self._kernel.run(x[:n], x[n:])
         overlap = self._ut_dag @ self._kernel.fwd[n]
         z = np.trace(overlap)
         fid = abs(z) / dim
-        tx, ty = self._kernel.trace_gradient(overlap)
-
         if abs(z) < GRAD_PHASE_EPSILON:
-            dfid_x = np.zeros(n)
-            dfid_y = np.zeros(n)
+            dfid = np.zeros(2 * n)
         else:
             scale = 1.0 / (abs(z) * dim)
-            dfid_x = np.real(np.conj(z) * tx) * scale
-            dfid_y = np.real(np.conj(z) * ty) * scale
+            dfid = np.real(np.conj(z) * self._kernel.trace_gradient(overlap)) * scale
 
         smoothed, slope = surrogate_abs(x, cfg)
         pen_scale = (1.0 - cfg.mu) / (2.0 * n * self.bound)
-        grad = pen_scale * slope - cfg.mu * np.concatenate([dfid_x, dfid_y])
+        grad = pen_scale * slope - cfg.mu * dfid
         smoothed_pen = float(np.sum(smoothed) / (2.0 * n * self.bound))
         value = (1.0 - cfg.mu) * smoothed_pen - cfg.mu * fid
         return value, grad

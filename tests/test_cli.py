@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinctrl
 from scale_cases import LARGE_BUT_FINITE, PHASE_OVERFLOW, SCALE_OVERFLOW, flags
 from spinctrl.cli import _RUN_ONLY, ExperimentConfig, build_parser, config_from_args, main
 from spinctrl.model import (
@@ -16,8 +19,8 @@ from spinctrl.model import (
     propagate,
     target_unitary,
 )
-from spinctrl.objective import fidelity, penalty
-from spinctrl.optimizer import optimize_controls
+from spinctrl.objective import ObjectiveConfig, fidelity, penalty
+from spinctrl.optimizer import OptimizerConfig, optimize_controls
 
 
 def tiny_run_args(out_dir, **overrides):
@@ -350,7 +353,28 @@ def test_config_source_problem_exits_2_without_files(tmp_path, problem, capsys):
     assert not out.exists()
 
 
+def test_shared_defaults_are_the_library_defaults():
+    # surrogate, alpha, kT, gamma, seed and restarts default to the values of
+    # the library's config classes
+    cfg = ExperimentConfig(target="not3")
+    assert cfg.objective_config() == ObjectiveConfig(mu=cfg.mu)
+    assert cfg.chain() == ChainSpec(n_sites=3)
+    assert cfg.optimizer_config() == OptimizerConfig()
+
+
 class TestEntryPoint:
+    def test_imports_without_test_dependencies(self):
+        # numpy is the only runtime dependency: importing the package and its
+        # CLI loads none of the test-only packages
+        code = ("import sys, spinctrl, spinctrl.cli; "
+                "print(sorted({m.partition('.')[0] for m in sys.modules} "
+                "& {'scipy', 'hypothesis', 'mpmath'}))")
+        src = str(Path(spinctrl.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_console_script_help(self):
         proc = subprocess.run(
             [sys.executable, "-m", "spinctrl.cli", "--help"],

@@ -32,11 +32,11 @@ def expm_minus_i(s, phase, t):
     size = max(dim, 2)
     padded = np.zeros((size, size))
     padded[:dim, :dim] = s
-    kernel = SliceKernel(ChainSpec(n_sites=size.bit_length() - 1), 1)
+    kernel = SliceKernel(ChainSpec(n_sites=size.bit_length() - 1), [t])
     kernel.evals[...], kernel.rot[...] = eigh_stack(padded[None])
     kernel.phase[...] = 1.0
     kernel.phase[0, :dim] = phase
-    kernel.forward(t)
+    kernel.forward()
     return kernel.fwd[1, :dim, :dim]
 
 

@@ -26,6 +26,7 @@ from spinctrl.model import (
     _reinterpret,
     bloch_trajectories,
     check_count,
+    check_positive,
     eigh_stack,
     propagate,
     SliceKernel,
@@ -44,7 +45,7 @@ def random_seq(rng, n, dt=0.2, bound=10.0, scale=1.0):
 
 def kernel_eigensystem(spec, hx, hy):
     """The kernel's eigenvalues and eigenvectors V = phase * rot of every slice."""
-    kernel = SliceKernel(spec, len(hx))
+    kernel = SliceKernel(spec, np.full(len(hx), 0.2))
     kernel.diagonalize(np.asarray(hx, dtype=np.float64), np.asarray(hy, dtype=np.float64))
     return kernel.evals, kernel.phase[:, :, None] * kernel.rot
 
@@ -147,6 +148,15 @@ class TestSpecs:
     @pytest.mark.parametrize("value,minimum", [(1, 1), (0, 0), (np.int64(7), 2)])
     def test_check_count_accepts(self, value, minimum):
         check_count("count", value, minimum)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+    def test_check_positive_rejects(self, value):
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            check_positive("scale", value)
+
+    @pytest.mark.parametrize("value", [5e-324, 1, np.float64(0.2), 1e308])
+    def test_check_positive_accepts(self, value):
+        check_positive("scale", value)
 
     def test_bound_has_no_slack(self):
         # |h| <= bound holds exactly, whatever the scale of the bound, so the
@@ -315,7 +325,7 @@ class TestSliceEigensystem:
             assert ops.sectors[-1].stop == 2**q
             shapes.clear()
             spec = ChainSpec(n_sites=n_sites, env_enabled=env, gamma=0.3)
-            SliceKernel(spec, len(hx)).diagonalize(hx, hy)
+            SliceKernel(spec, np.full(len(hx), 0.2)).diagonalize(hx, hy)
             assert shapes == [(len(hx), size, size) for size in sizes if size > 1]
 
     @settings(max_examples=30, deadline=None)
@@ -345,7 +355,7 @@ class TestSliceEigensystem:
             ops = slice_operators(n_sites, env)
             dim = spec.dim * (1 + env)
             assert (ops.sectors[0], ops.sectors[-1]) == (slice(0, 1), slice(dim - 1, dim))
-            kernel = SliceKernel(spec, len(hx))
+            kernel = SliceKernel(spec, np.full(len(hx), 0.2))
             kernel.diagonalize(hx, hy)
             for k, col in ((0, 0), (-1, dim - 1)):
                 entries = np.hypot(hx, hy) * ops.field[k][0, 0] + ops.drift[k][0, 0]
@@ -361,7 +371,8 @@ class TestSliceEigensystem:
         assert slice_operators(3, env) is ops
         # gamma enters the kernel, not the operators it shares
         for gamma in (0.0, 0.1, 0.3):
-            assert SliceKernel(ChainSpec(n_sites=3, env_enabled=env, gamma=gamma), 2).ops is ops
+            spec = ChainSpec(n_sites=3, env_enabled=env, gamma=gamma)
+            assert SliceKernel(spec, [0.2, 0.2]).ops is ops
         # one block per sector: 4 sectors on 3 qubits, 5 on 4
         assert len(ops.sectors) == len(ops.drift) == len(ops.field) == 4 + env
         for a in (ops.basis, ops.m, *ops.drift, *ops.field, *(ops.star if env else ())):
@@ -390,8 +401,8 @@ class TestEnvHamiltonian:
         ops = slice_operators(2, False)
         assert ops.star is None
         assert ops.basis.shape == (4, 4) and sum(len(b) for b in ops.drift) == 4
-        kernel = SliceKernel(ChainSpec(n_sites=2, gamma=0.3), 1)
-        kernel.run(np.array([1.0]), np.array([0.0]), 0.2)
+        kernel = SliceKernel(ChainSpec(n_sites=2, gamma=0.3), [0.2])
+        kernel.run(np.array([1.0]), np.array([0.0]))
         assert kernel.evals.shape == (1, 4) and kernel.rot.shape == (1, 4, 4)
         assert kernel.phase.shape == (1, 4) and kernel.fwd.shape == (2, 4, 4)
 
@@ -490,8 +501,8 @@ class TestPropagate:
             spec = ChainSpec(n_sites=n_sites, env_enabled=env, gamma=gamma)
             for pulses in sequences:
                 hx, hy = np.array(pulses).T
-                kernel = SliceKernel(spec, len(hx))
-                kernel.run(hx, hy, 0.2)
+                kernel = SliceKernel(spec, np.full(len(hx), 0.2))
+                kernel.run(hx, hy)
                 u = propagate(spec, ControlSequence(hx=hx, hy=hy, dt=0.2, bound=5.0))
                 assert np.max(np.abs(u - kernel.fwd[-1])) < 1e-12
 
@@ -505,17 +516,13 @@ class TestPropagate:
 
     @pytest.mark.parametrize("n_sites,env", [(3, False), (4, False), (4, True)])
     def test_no_equal_neighbours_match_unmerged_bits(self, n_sites, env):
-        # without equal neighbours propagate is the kernel over every slice,
-        # and a per-slice column of durations that are all dt is dt itself
+        # without equal neighbours propagate is the kernel over every slice
         rng = np.random.default_rng(23)
         seq = random_seq(rng, 24)
         spec = ChainSpec(n_sites=n_sites, env_enabled=env, gamma=0.1)
-        kernel = SliceKernel(spec, seq.n)
-        kernel.run(seq.hx, seq.hy, seq.dt)
+        kernel = SliceKernel(spec, np.full(seq.n, seq.dt))
+        kernel.run(seq.hx, seq.hy)
         assert np.array_equal(propagate(spec, seq), kernel.fwd[-1])
-        scalar = kernel.fwd.copy()
-        kernel.forward(np.full((seq.n, 1), seq.dt))
-        assert np.array_equal(kernel.fwd, scalar)
 
 
 class TestTraceGradient:
@@ -530,9 +537,9 @@ class TestTraceGradient:
         # fields of exactly 0.0 and -0.0 (phi taken as 0), and two equal slices
         hx = np.array([0.0, 0.0, 0.7, 0.7, -1.2, 0.4])
         hy = np.array([0.0, -0.0, -0.4, -0.4, 0.0, -1.1])
-        kernel = SliceKernel(spec, hx.size)
-        kernel.run(hx, hy, dt)
-        got = np.concatenate(kernel.trace_gradient(a @ kernel.fwd[-1]))
+        kernel = SliceKernel(spec, np.full(hx.size, dt))
+        kernel.run(hx, hy)
+        got = kernel.trace_gradient(a @ kernel.fwd[-1])
         x = np.concatenate([hx, hy])
         fd = np.empty(x.size, dtype=complex)
         for i in range(x.size):
@@ -545,18 +552,34 @@ class TestTraceGradient:
 
     def test_keeps_the_eigensystem_and_total_propagator(self):
         rng = np.random.default_rng(3)
-        kernel = SliceKernel(ChainSpec(n_sites=3), 8)
-        kernel.run(*rng.uniform(-1.0, 1.0, (2, 8)), 0.2)
+        kernel = SliceKernel(ChainSpec(n_sites=3), np.full(8, 0.2))
+        kernel.run(*rng.uniform(-1.0, 1.0, (2, 8)))
         kept = [kernel.evals.copy(), kernel.rot.copy(), kernel.phase.copy(), kernel.fwd[-1].copy()]
         kernel.trace_gradient(kernel.fwd[-1].conj().T)
         for before, after in zip(kept, (kernel.evals, kernel.rot, kernel.phase, kernel.fwd[-1])):
             assert np.array_equal(before, after)
 
-    def test_needs_one_duration(self):
-        kernel = SliceKernel(ChainSpec(n_sites=2), 2)
-        kernel.run(np.ones(2), np.zeros(2), np.full((2, 1), 0.2))
-        with pytest.raises(ValueError, match="one duration"):
-            kernel.trace_gradient(np.eye(4))
+    @pytest.mark.parametrize("env", [False, True])
+    def test_merged_runs_sum_their_slices(self, env):
+        # a run of k equal slices merged into one slice of duration k*dt, as
+        # propagate merges them: its derivative is the sum of the k slices'
+        # derivatives, which holds for the field term alone as well
+        rng = np.random.default_rng(71 + env)
+        spec, dt = ChainSpec(n_sites=3, env_enabled=env, gamma=0.3), 0.2
+        lengths = np.array([3, 1, 4, 2, 1])
+        fields = rng.uniform(-1.5, 1.5, (2, lengths.size))
+        fields[:, 1] = 0.0
+        starts = np.r_[0, np.cumsum(lengths)[:-1]]
+        dim = spec.dim * (1 + env)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        merged = SliceKernel(spec, dt * lengths)
+        merged.run(*fields)
+        got = merged.trace_gradient(a @ merged.fwd[-1])
+        slices = SliceKernel(spec, np.full(lengths.sum(), dt))
+        slices.run(*np.repeat(fields, lengths, axis=1))
+        per_slice = slices.trace_gradient(a @ slices.fwd[-1])
+        summed = np.add.reduceat(per_slice.reshape(2, -1), starts, axis=1).reshape(-1)
+        assert np.max(np.abs(got - summed)) < 1e-10 * max(1.0, np.max(np.abs(summed)))
 
 
 def test_reinterpret_rejects_non_contiguous():

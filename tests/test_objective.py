@@ -69,6 +69,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="n must be"):
             PulseObjective(ChainSpec(2), TargetGate("NOT", 2), n, 0.2, 10.0, ObjectiveConfig(mu=0.5))
 
+    @pytest.mark.parametrize(
+        "dt,bound,match",
+        [(0.0, 10.0, "dt"), (-0.2, 10.0, "dt"), (float("nan"), 10.0, "dt"),
+         (0.2, 0.0, "bound"), (0.2, -1.0, "bound"), (0.2, float("inf"), "bound")],
+    )
+    def test_duration_and_bound_checked(self, dt, bound, match):
+        # each used to be accepted and evaluated, or to end in ZeroDivisionError
+        with pytest.raises(ValueError, match=f"{match} must be positive and finite"):
+            PulseObjective(ChainSpec(2), TargetGate("NOT", 2), 4, dt, bound, ObjectiveConfig(mu=0.5))
+
     def test_env_chain_rejected(self):
         with pytest.raises(ValueError):
             PulseObjective(

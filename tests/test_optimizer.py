@@ -327,6 +327,26 @@ class TestWolfeSearch:
         assert 0 < len(calls) <= _MAX_LINE_SEARCH_TRIALS
 
 
+@pytest.mark.parametrize("kind,n_sites,mu", [("NOT", 3, 0.2), ("SWAP", 3, 0.2), ("SWAP", 4, 0.4)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_mirrored_start_ends_at_same_functional(kind, n_sites, mu, seed):
+    # The drift and the NOT and SWAP targets are real, so hy -> -hy maps U to
+    # conj(U) and leaves F, P and the functional unchanged. A run started from
+    # the mirrored x0 takes the mirrored path up to rounding, which can move
+    # its iteration count, so it ends at the same G but not at the same bits.
+    spec, target, n, dt, bound = ChainSpec(n_sites), TargetGate(kind, n_sites), 16, 0.2, 50.0
+    po = PulseObjective(spec, target, n, dt, bound, ObjectiveConfig(mu=mu))
+    x0 = np.random.default_rng(seed).uniform(-0.5, 0.5, 2 * n)
+    ends = []
+    for start in (x0, np.r_[x0[:n], -x0[n:]]):
+        x, info = bfgs_minimize(po.value_and_grad, start, bound, OptimizerConfig())
+        assert info.converged
+        seq = ControlSequence.from_vector(x, dt, bound)
+        fid = fidelity(target_unitary(target), propagate(spec, seq))
+        ends.append((1.0 - mu) * penalty(seq) - mu * fid)
+    assert abs(ends[0] - ends[1]) < 1e-7
+
+
 class TestOptimizeControls:
     def test_single_qubit_not_gate(self):
         # Drift-free single qubit: the optimum is a rotation about an axis in
