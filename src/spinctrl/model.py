@@ -1,16 +1,17 @@
 """Heisenberg spin-chain model and its slice kernel.
 
 One kernel, ``SliceKernel(spec, durations)``, owns the arrays of slices of
-the given durations on the bare chain or on chain + environment qubit: it
-allocates them once, and each ``run(hx, hy)`` fills them in place with the
-eigensystem of every piecewise-constant slice Hamiltonian and the cumulative
-propagators U_j ... U_1 (its ``forward`` stage is the only place where slice
-propagators are formed or multiplied). ``propagate`` and ``bloch_trajectories``
-build a kernel per call and read the last propagator or every slice boundary
-from it; ``propagate`` needs no inner boundary, so it gives each run of equal
-slices one slice of the run's duration. The pulse objective keeps one kernel
-of every slice for its whole life, so that its evaluations reuse the same
-memory, and takes its gradient from the kernel's ``trace_gradient``.
+the given durations on the bare chain or on chain + environment qubit: they
+share one buffer, set up once, and each ``run(hx, hy)`` fills them in place
+with the eigensystem of every piecewise-constant slice Hamiltonian and the
+cumulative propagators U_j ... U_1 (its ``forward`` stage is the only place
+where slice propagators are formed or multiplied). ``propagate`` and ``bloch_trajectories``
+build a kernel per call, read the last propagator or every slice boundary from
+it, and leave its memory to the next kernel as the module's spare buffer;
+``propagate`` needs no inner boundary, so it gives each run of equal slices one
+slice of the run's duration. The pulse objective keeps one kernel of every
+slice for its whole life, so that its evaluations reuse the same memory, and
+takes its gradient from the kernel's ``trace_gradient``.
 
 The kernel works in the chain's symmetry sectors. The isotropic drift and
 star coupling commute with rotations about z, so a slice with field (hx, hy)
@@ -22,8 +23,9 @@ qubits (1/4/6/4/1 at N=4, 1/5/10/10/5/1 with the environment qubit). That
 basis is H^⊗n (H the Hadamard matrix), so each block is an exact integer
 submatrix (see ``slice_operators``). These blocks are the only matrices that
 are diagonalized, one sector at a time (``eigh_stack`` on that sector's block
-of every slice), and the eigenvectors stay factored as V = D R with R real,
-so that each slice propagator is formed from real products. No dense slice
+of every slice with a field; a slice without one gets the drift's eigensystem,
+stored with the operators), and the eigenvectors stay factored as V = D R with
+R real, so that each slice propagator is formed from real products. No dense slice
 Hamiltonian is built. The blocks depend only on the chain length and the
 environment flag; the kernel scales the star blocks by gamma itself.
 
@@ -55,8 +57,8 @@ def check_count(name: str, value, minimum: int) -> None:
 
 
 def check_positive(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is a positive finite number."""
-    if not (math.isfinite(value) and value > 0):
+    """Raise ValueError unless ``value`` is a positive finite real number."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite")
 
 
@@ -75,7 +77,8 @@ class ChainSpec:
 
     def __post_init__(self):
         check_count("n_sites", self.n_sites, 1)
-        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+        if not (isinstance(self.gamma, numbers.Real) and math.isfinite(self.gamma)
+                and self.gamma >= 0):
             raise ValueError("gamma must be non-negative and finite")
 
     @property
@@ -206,7 +209,9 @@ class SliceOperators:
     (size, size) block of each sector, exact submatrices with integer
     entries. ``star`` is None on the bare chain, where every operator acts
     on the chain alone. ``m`` is the total Sz of each computational basis
-    state.
+    state. ``free_evals`` (dim,) and ``free_rot`` (dim, dim) are the
+    eigensystem of a slice with zero field (free evolution under the drift),
+    as ``SliceKernel.diagonalize`` would compute it.
     """
 
     basis: np.ndarray
@@ -215,6 +220,8 @@ class SliceOperators:
     drift: tuple[np.ndarray, ...]
     field: tuple[np.ndarray, ...]
     star: tuple[np.ndarray, ...] | None
+    free_evals: np.ndarray
+    free_rot: np.ndarray
 
 
 @functools.cache
@@ -253,10 +260,37 @@ def slice_operators(n_sites: int, env_enabled: bool) -> SliceOperators:
         drift=blocks(drift),
         field=tuple(np.diag(sz1[cols]) for cols in sectors),
         star=None if star is None else blocks(star),
+        free_evals=np.empty(k.size),
+        free_rot=np.empty((k.size, k.size)),
     )
-    for a in (ops.basis, ops.m, *ops.drift, *ops.field, *(ops.star or ())):
+    zero = np.zeros(1)
+    _diagonalize_sectors(ops, zero, zero, ops.free_evals[None], ops.free_rot[None])
+    for a in (ops.basis, ops.m, *ops.drift, *ops.field, *(ops.star or ()), ops.free_evals,
+              ops.free_rot):
         a.setflags(write=False)
     return ops
+
+
+def _diagonalize_sectors(ops: SliceOperators, r, s, evals, rot) -> None:
+    """Write the eigensystem of the inner matrix drift + r_j*field [+ s_j*star]
+    of every slice j into ``evals`` (k, dim) and ``rot`` (k, dim, dim), one
+    sector at a time: one ``eigh_stack`` call per sector larger than 1x1, and
+    rot = basis * blockdiag(W). A 1x1 sector (all spins along +x or -x) is
+    its own eigensystem."""
+    for k, cols in enumerate(ops.sectors):
+        # Exactly symmetric, as drift, field and star are, so eigh_stack
+        # may read one triangle.
+        blocks = r[:, None, None] * ops.field[k] + ops.drift[k]
+        if ops.star is not None:
+            blocks += s[:, None, None] * ops.star[k]
+        if blocks.shape[-1] == 1:
+            # A 1x1 block is its own eigenvalue, with eigenvector 1.
+            evals[:, cols] = blocks[:, 0]
+            rot[:, :, cols] = ops.basis[:, cols]
+        else:
+            lam, w = eigh_stack(blocks)
+            evals[:, cols] = lam
+            np.matmul(ops.basis[:, cols], w, out=rot[:, :, cols])
 
 
 def _reinterpret(a: np.ndarray, dtype, shape) -> np.ndarray:
@@ -274,13 +308,35 @@ def eigh_stack(h_stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(h_stack)
 
 
+# The memory of a kernel that ``propagate`` or ``bloch_trajectories`` is done
+# with, which the next kernel takes when it is large enough, so that a call
+# writes into pages that are already mapped. Its pop and append are atomic,
+# so two threads never hold the same buffer.
+_spare: list[np.ndarray] = []
+
+
+def _take_buffer(size: int) -> np.ndarray:
+    """The spare buffer if it holds ``size`` floats, else a new one."""
+    try:
+        spare = _spare.pop()
+    except IndexError:
+        spare = None
+    if spare is not None and spare.size >= size:
+        return spare
+    # A smaller spare is dropped first, so that the two are never held at once.
+    del spare
+    return np.empty(size)
+
+
 class SliceKernel:
     """The slice kernel of a chain for n slices, and the arrays it fills.
 
     It shares the chain's ``slice_operators`` with every other kernel of the
     same chain length and environment flag, keeps the spec's ``gamma`` and
     copies the (n,) slice ``durations`` into an (n, 1) column. The arrays are
-    allocated once, here, and every ``run(hx, hy)`` overwrites them in place:
+    views of one float64 buffer, taken here from the module's spare when that
+    is large enough and allocated otherwise; ``release`` makes it the spare.
+    Every ``run(hx, hy)`` overwrites the arrays in place:
 
     - ``evals`` (n, dim), ``rot`` (n, dim, dim) real orthogonal and ``phase``
       (n, dim): the factored eigensystem of every slice Hamiltonian, with
@@ -289,9 +345,9 @@ class SliceKernel:
     - ``fwd`` (n + 1, dim, dim): entry 0 is the identity and entry j is
       U_j ... U_2 U_1 (see ``forward``).
 
-    Scratch stacks of its own serve ``forward`` and ``trace_gradient``; the
-    latter's complex (n, dim, dim) one is allocated on its first call. A
-    caller copies whatever it keeps past the next run.
+    Scratch stacks of its own serve ``diagonalize``, ``forward`` and
+    ``trace_gradient``; the latter's complex (n, dim, dim) one is allocated on
+    its first call. A caller copies whatever it keeps past the next run.
     """
 
     def __init__(self, spec: ChainSpec, durations: np.ndarray):
@@ -300,13 +356,28 @@ class SliceKernel:
         self.durations = np.array(durations, dtype=np.float64)[:, None]
         self.n, self.dim = len(self.durations), self.ops.m.size
         n, dim = self.n, self.dim
-        self.evals = np.empty((n, dim))
-        self.rot = np.empty((n, dim, dim))
-        self.phi = np.empty(n)
-        self.phase = np.empty((n, dim), dtype=np.complex128)
-        self.fwd = np.empty((n + 1, dim, dim), dtype=np.complex128)
-        self._stage = np.empty((n, 2 * dim, dim))
+        # The complex arrays first, so that they (and _stage, which is also
+        # viewed as complex) start 16-byte aligned.
+        ends = np.cumsum([2 * n * dim, 2 * (n + 1) * dim * dim, 2 * n * dim * dim,
+                          n * dim * dim, n * dim, n])
+        self._buffer = _take_buffer(int(ends[-1]))
+        phase, fwd, stage, rot, evals, phi, _ = np.split(self._buffer, ends)
+        self.phase = _reinterpret(phase, np.complex128, (n, dim))
+        self.fwd = _reinterpret(fwd, np.complex128, (n + 1, dim, dim))
+        self._stage = stage.reshape(n, 2 * dim, dim)
+        self.rot = rot.reshape(n, dim, dim)
+        self.evals = evals.reshape(n, dim)
+        self.phi = phi
         self._work = None
+
+    def release(self) -> None:
+        """Make this kernel's buffer the module's spare, unless the spare is
+        larger. The kernel and its arrays must not be used afterwards."""
+        try:
+            spare = _spare.pop()
+        except IndexError:
+            spare = self._buffer
+        _spare.append(max(self._buffer, spare, key=np.size))
 
     def run(self, hx: np.ndarray, hy: np.ndarray) -> None:
         """Fill the eigensystem and the cumulative propagators of the slices
@@ -321,33 +392,33 @@ class SliceKernel:
 
         With r = |h_j|, phi = atan2(hy_j, hx_j) and D = diag(exp(-i*phi*m/2)),
         H_j = D (drift + r*Sx^1 [+ s_j*star]) D^dag. The inner matrix is real
-        and conserves the total Sx, so it is diagonalized sector by sector,
-        with one ``eigh_stack`` call per sector larger than 1x1, and
-        rot = basis * blockdiag(W). A 1x1 sector (all spins along +x or -x)
-        is its own eigensystem. At r = 0 the inner matrix commutes with D and
-        phi is taken as 0.
+        and conserves the total Sx, so it is diagonalized sector by sector
+        (see ``_diagonalize_sectors``). At r = 0 the inner matrix is the drift,
+        which commutes with D, so phi is taken as 0 and the slice gets the
+        stored ``free_evals`` and ``free_rot``: only the slices with r > 0
+        are diagonalized.
         """
-        ops, n = self.ops, self.n
+        ops, n, dim = self.ops, self.n, self.dim
         if np.shape(hx) != (n,) or np.shape(hy) != (n,):
             raise ValueError(f"expected {n} field values per axis")
         r = np.hypot(hx, hy)
         self.phi[...] = np.where(r > 0.0, np.arctan2(hy, hx), 0.0)
         np.exp(-0.5j * self.phi[:, None] * ops.m, out=self.phase)
         s = self.gamma * (np.abs(hx) + np.abs(hy))
-        for k, cols in enumerate(ops.sectors):
-            # Exactly symmetric, as drift, field and star are, so eigh_stack
-            # may read one triangle.
-            blocks = r[:, None, None] * ops.field[k] + ops.drift[k]
-            if ops.star is not None:
-                blocks += s[:, None, None] * ops.star[k]
-            if blocks.shape[-1] == 1:
-                # A 1x1 block is its own eigenvalue, with eigenvector 1.
-                self.evals[:, cols] = blocks[:, 0]
-                self.rot[:, :, cols] = ops.basis[:, cols]
-            else:
-                lam, w = eigh_stack(blocks)
-                self.evals[:, cols] = lam
-                np.matmul(ops.basis[:, cols], w, out=self.rot[:, :, cols])
+        free = r == 0.0
+        if not free.any():
+            _diagonalize_sectors(ops, r, s, self.evals, self.rot)
+            return
+        self.evals[free] = ops.free_evals
+        self.rot[free] = ops.free_rot
+        on = np.flatnonzero(~free)
+        if on.size:
+            # The slices with r > 0 are diagonalized into scratch, then scattered.
+            evals = np.empty((on.size, dim))
+            rot = self._stage.reshape(-1)[: on.size * dim * dim].reshape(on.size, dim, dim)
+            _diagonalize_sectors(ops, r[on], s[on], evals, rot)
+            self.evals[on] = evals
+            self.rot[on] = rot
 
     def forward(self) -> None:
         """Cumulative propagators of the eigensystem held in ``evals``, ``rot``
@@ -374,9 +445,13 @@ class SliceKernel:
     def trace_gradient(self, overlap: np.ndarray) -> np.ndarray:
         """Derivatives of Tr(A U) with respect to every hx_j and hy_j after a
         ``run``, one complex (2n,) vector ordered [hx; hy], where U = fwd[n] and
-        ``overlap`` = A U for any (dim, dim) A. With the environment qubit only
-        the site-1 field is differentiated, not the star coupling s_j. Overwrites
+        ``overlap`` = A U for any (dim, dim) A, on the bare chain. Raises
+        ValueError on a kernel with the environment qubit, whose star coupling
+        s_j also depends on the fields and is not differentiated. Overwrites
         fwd[:n] and the scratch stacks; keeps the eigensystem and fwd[n]."""
+        if self.ops.star is not None:
+            raise ValueError("trace_gradient differentiates the bare chain only, "
+                             "not the star coupling of the environment qubit")
         n, dt, dim = self.n, self.durations, self.dim
         if self._work is None:
             self._work = np.empty((n, dim, dim), dtype=np.complex128)
@@ -446,8 +521,10 @@ def propagate(spec: ChainSpec, seq: ControlSequence) -> np.ndarray:
     lengths = np.diff(np.r_[starts, seq.n])
     kernel = SliceKernel(spec, seq.dt * lengths)
     kernel.run(hx[starts], hy[starts])
-    # A copy, so that the caller does not keep the kernel's arrays alive.
-    return kernel.fwd[-1].copy()
+    # A copy, since the kernel's memory goes to the next kernel.
+    u = kernel.fwd[-1].copy()
+    kernel.release()
+    return u
 
 
 def propagate_with_env(spec: ChainSpec, seq: ControlSequence) -> np.ndarray:
@@ -492,4 +569,5 @@ def bloch_trajectories(
         z = 2.0 * (a.conj() * b).sum(axis=(1, 2))
         out[:, q, 0], out[:, q, 1] = z.real, z.imag
         out[:, q, 2] = (np.abs(a) ** 2).sum(axis=(1, 2)) - (np.abs(b) ** 2).sum(axis=(1, 2))
+    kernel.release()
     return out

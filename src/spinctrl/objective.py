@@ -14,6 +14,7 @@ absolute value.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,11 +49,11 @@ class ObjectiveConfig:
     kT: float = 0.01
 
     def __post_init__(self):
-        if not 0.0 <= self.mu <= 1.0:
+        if not (isinstance(self.mu, numbers.Real) and 0.0 <= self.mu <= 1.0):
             raise ValueError("mu must lie in [0, 1]")
         if self.surrogate not in SURROGATES:
             raise ValueError(f"unknown surrogate {self.surrogate!r}; expected one of {SURROGATES}")
-        if not 0.0 < self.alpha < 1.0:
+        if not (isinstance(self.alpha, numbers.Real) and 0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
         check_positive("kT", self.kT)
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from dense_reference import (
     on_sites,
 )
 from scale_cases import PHASE_OVERFLOW, experiment
+from spinctrl import model
 from spinctrl.model import (
     ChainSpec,
     ControlSequence,
@@ -34,7 +37,7 @@ from spinctrl.model import (
     slice_operators,
     target_unitary,
 )
-from spinctrl.objective import penalty
+from spinctrl.objective import ObjectiveConfig, PulseObjective, penalty
 
 
 def random_seq(rng, n, dt=0.2, bound=10.0, scale=1.0):
@@ -115,6 +118,20 @@ class TestSpecs:
         with pytest.raises(ValueError):
             ChainSpec(n_sites=3.0)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: ChainSpec(3, gamma="0.1"), id="gamma_str"),
+            pytest.param(lambda: ChainSpec(3, gamma=None), id="gamma_none"),
+            pytest.param(lambda: ControlSequence([0.0], [0.0], dt="0.2", bound=1.0), id="dt_str"),
+            pytest.param(lambda: ControlSequence([0.0], [0.0], dt=None, bound=1.0), id="dt_none"),
+            pytest.param(lambda: ControlSequence([0.0], [0.0], dt=0.2, bound="1"), id="bound_str"),
+        ],
+    )
+    def test_non_numeric_values_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
     def test_sequence_validation(self):
         with pytest.raises(ValueError):
             ControlSequence(hx=[1.0], hy=[1.0, 2.0], dt=0.2, bound=10.0)
@@ -149,7 +166,9 @@ class TestSpecs:
     def test_check_count_accepts(self, value, minimum):
         check_count("count", value, minimum)
 
-    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "value", [0.0, -0.0, -1.0, float("nan"), float("inf"), -float("inf"), "0.2", None, 1j]
+    )
     def test_check_positive_rejects(self, value):
         with pytest.raises(ValueError, match="scale must be positive and finite"):
             check_positive("scale", value)
@@ -306,8 +325,9 @@ class TestSliceEigensystem:
     def test_one_eigh_call_per_sector(self, env, monkeypatch):
         # the sectors come in weight order, of sizes C(q, w) for w = 0..q, their
         # column ranges tile 0..dim, and diagonalize makes one eigh_stack call
-        # per sector larger than 1x1, on that sector's (n, size, size) stack
-        # of blocks
+        # per sector larger than 1x1, on that sector's (k, size, size) stack
+        # of the blocks of the k slices with a field; slices without one take
+        # the stored drift eigensystem, so an all-zero field makes no call
         shapes = []
 
         def recording(h_stack):
@@ -323,10 +343,50 @@ class TestSliceEigensystem:
             assert sizes == [math.comb(q, w) for w in range(q + 1)]
             assert [cols.start for cols in ops.sectors] == [0, *np.cumsum(sizes)[:-1]]
             assert ops.sectors[-1].stop == 2**q
-            shapes.clear()
             spec = ChainSpec(n_sites=n_sites, env_enabled=env, gamma=0.3)
-            SliceKernel(spec, np.full(len(hx), 0.2)).diagonalize(hx, hy)
-            assert shapes == [(len(hx), size, size) for size in sizes if size > 1]
+            on = np.count_nonzero(np.hypot(hx, hy))
+            for fields, calls in (((hx, hy), on), ((hx + 1.0, hy), len(hx)), ((0 * hx, hy), 2)):
+                shapes.clear()
+                SliceKernel(spec, np.full(len(hx), 0.2)).diagonalize(*fields)
+                assert shapes == [(calls, size, size) for size in sizes if size > 1]
+            shapes.clear()
+            SliceKernel(spec, np.full(3, 0.2)).diagonalize(np.zeros(3), -np.zeros(3))
+            assert shapes == []
+
+    @pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
+    @pytest.mark.parametrize("env", [False, True])
+    def test_free_slices_get_the_drift_eigensystem(self, n_sites, env):
+        # a slice with r = 0 gets, bit for bit, the eigensystem that
+        # eigh_stack gives for its block 0*field + drift [+ 0*star], whether
+        # some or none of the other slices has a field
+        ops = slice_operators(n_sites, env)
+        dim = ops.m.size
+        expected_evals, expected_rot = np.empty(dim), np.empty((dim, dim))
+        for k, cols in enumerate(ops.sectors):
+            block = 0.0 * ops.field[k] + ops.drift[k]
+            if env:
+                block += 0.0 * ops.star[k]
+            lam, w = eigh_stack(block[None])
+            expected_evals[cols] = lam[0]
+            np.matmul(ops.basis[:, cols], w, out=expected_rot[None][:, :, cols])
+        assert np.array_equal(ops.free_evals, expected_evals)
+        assert np.array_equal(ops.free_rot, expected_rot)
+        spec = ChainSpec(n_sites=n_sites, env_enabled=env, gamma=0.3)
+        hx, hy = np.array(EDGE_SLICES + [(1.1, 0.0), (0.0, 0.0)]).T
+        free = np.hypot(hx, hy) == 0.0
+        for fields in ((hx, hy), (0.0 * hx, -0.0 * hy)):
+            kernel = SliceKernel(spec, np.full(len(hx), 0.2))
+            kernel.diagonalize(*fields)
+            zero = np.hypot(*fields) == 0.0
+            assert np.all(kernel.evals[zero] == expected_evals)
+            assert np.all(kernel.rot[zero] == expected_rot)
+        # the slices with a field are unchanged by the free ones around them
+        kernel = SliceKernel(spec, np.full(len(hx), 0.2))
+        kernel.diagonalize(hx, hy)
+        alone = SliceKernel(spec, np.full((~free).sum(), 0.2))
+        alone.diagonalize(hx[~free], hy[~free])
+        assert np.array_equal(kernel.evals[~free], alone.evals)
+        assert np.array_equal(kernel.rot[~free], alone.rot)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 4), st.sampled_from([False, True]), st.floats(0.0, 3.0),
@@ -375,7 +435,8 @@ class TestSliceEigensystem:
             assert SliceKernel(spec, [0.2, 0.2]).ops is ops
         # one block per sector: 4 sectors on 3 qubits, 5 on 4
         assert len(ops.sectors) == len(ops.drift) == len(ops.field) == 4 + env
-        for a in (ops.basis, ops.m, *ops.drift, *ops.field, *(ops.star if env else ())):
+        for a in (ops.basis, ops.m, *ops.drift, *ops.field, *(ops.star if env else ()),
+                  ops.free_evals, ops.free_rot):
             with pytest.raises(ValueError):
                 a[...] = 0.0
 
@@ -478,6 +539,65 @@ class TestPropagate:
         assert np.array_equal(propagate(spec, seq2), u2)
         assert np.array_equal(u1, kept) and not np.array_equal(u1, u2)
 
+    def test_next_kernel_takes_the_buffer(self, monkeypatch):
+        # propagate leaves its kernel's memory as the spare buffer; a second
+        # call of equal or smaller size writes into it, a larger one allocates
+        # and leaves the larger buffer, and an objective built next takes the
+        # spare for good
+        monkeypatch.setattr(model, "_spare", [])
+        used = []
+        release = SliceKernel.release
+        monkeypatch.setattr(SliceKernel, "release", lambda k: (used.append(k.fwd), release(k)))
+        rng = np.random.default_rng(43)
+        spec = ChainSpec(n_sites=3, env_enabled=True)
+        for n in (12, 12, 5, 30):
+            propagate(spec, random_seq(rng, n))
+        assert np.shares_memory(used[1], used[0]) and np.shares_memory(used[2], used[0])
+        assert not np.shares_memory(used[3], used[0])
+        [spare] = model._spare
+        assert np.shares_memory(spare, used[3])
+        objective = PulseObjective(
+            ChainSpec(n_sites=3), TargetGate("NOT", 3), 8, 0.2, 10.0, ObjectiveConfig(mu=0.5)
+        )
+        assert model._spare == [] and np.shares_memory(objective._kernel.fwd, spare)
+        # its evaluations leave no spare, so the next propagate allocates
+        objective.value_and_grad(np.zeros(16))
+        propagate(spec, random_seq(rng, 5))
+        assert not np.shares_memory(used[4], spare)
+
+    def test_threads_match_serial_calls(self):
+        # threads that propagate at once (more of them than cores, switching
+        # often) never share a kernel's memory, so each call returns the bits
+        # of the same call run serially
+        rng = np.random.default_rng(45)
+        spec = ChainSpec(n_sites=3, env_enabled=True, gamma=0.1)
+        batches = []
+        for _ in range(4):
+            batch = []
+            for n in rng.integers(4, 40, 50):
+                hx, hy = np.where(rng.random((2, n)) < 0.3, rng.uniform(-2.0, 2.0, (2, n)), 0.0)
+                batch.append(ControlSequence(hx=hx, hy=hy, dt=0.2, bound=10.0))
+            batches.append(batch)
+        serial = [[propagate(spec, seq) for seq in batch] for batch in batches]
+        threaded = [None] * len(batches)
+
+        def work(i):
+            threaded[i] = [propagate(spec, seq) for seq in batches[i]]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(batches))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, expected in zip(threaded, serial, strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected, strict=True))
+
     @pytest.mark.parametrize("env", [False, True])
     @pytest.mark.parametrize("case", PHASE_OVERFLOW, ids="-".join)
     def test_overflowing_phases_raise(self, case, env):
@@ -559,19 +679,17 @@ class TestTraceGradient:
         for before, after in zip(kept, (kernel.evals, kernel.rot, kernel.phase, kernel.fwd[-1])):
             assert np.array_equal(before, after)
 
-    @pytest.mark.parametrize("env", [False, True])
-    def test_merged_runs_sum_their_slices(self, env):
+    def test_merged_runs_sum_their_slices(self):
         # a run of k equal slices merged into one slice of duration k*dt, as
         # propagate merges them: its derivative is the sum of the k slices'
-        # derivatives, which holds for the field term alone as well
-        rng = np.random.default_rng(71 + env)
-        spec, dt = ChainSpec(n_sites=3, env_enabled=env, gamma=0.3), 0.2
+        # derivatives
+        rng = np.random.default_rng(71)
+        spec, dt = ChainSpec(n_sites=3), 0.2
         lengths = np.array([3, 1, 4, 2, 1])
         fields = rng.uniform(-1.5, 1.5, (2, lengths.size))
         fields[:, 1] = 0.0
         starts = np.r_[0, np.cumsum(lengths)[:-1]]
-        dim = spec.dim * (1 + env)
-        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        a = rng.normal(size=(spec.dim, spec.dim)) + 1j * rng.normal(size=(spec.dim, spec.dim))
         merged = SliceKernel(spec, dt * lengths)
         merged.run(*fields)
         got = merged.trace_gradient(a @ merged.fwd[-1])
@@ -580,6 +698,14 @@ class TestTraceGradient:
         per_slice = slices.trace_gradient(a @ slices.fwd[-1])
         summed = np.add.reduceat(per_slice.reshape(2, -1), starts, axis=1).reshape(-1)
         assert np.max(np.abs(got - summed)) < 1e-10 * max(1.0, np.max(np.abs(summed)))
+
+    def test_rejects_environment_kernel(self):
+        # the star coupling s_j = gamma*(|hx_j| + |hy_j|) depends on the fields
+        # too, and trace_gradient does not differentiate it
+        kernel = SliceKernel(ChainSpec(n_sites=2, env_enabled=True, gamma=0.3), np.full(3, 0.2))
+        kernel.run(np.array([0.4, 0.0, -0.3]), np.array([0.1, 0.0, 0.9]))
+        with pytest.raises(ValueError, match="bare chain only"):
+            kernel.trace_gradient(kernel.fwd[-1].conj().T)
 
 
 def test_reinterpret_rejects_non_contiguous():

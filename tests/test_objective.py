@@ -51,6 +51,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             ObjectiveConfig(mu=0.5, kT=float("nan"))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"mu": "0.2"}, {"mu": None}, {"mu": 0.5, "alpha": None}, {"mu": 0.5, "alpha": "0.5"},
+         {"mu": 0.5, "kT": "x"}, {"mu": 0.5, "kT": None}],
+        ids=["mu_str", "mu_none", "alpha_none", "alpha_str", "kT_str", "kT_none"],
+    )
+    def test_non_numeric_values_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            ObjectiveConfig(**kwargs)
+
     def test_check_scales(self):
         # (n, dt, bound, kT): the gradient scale 2n(dt + 1/(n min(bound, 1)))^2,
         # bound/(2kT) and 2kT must be finite; a numpy kT overflows without a warning
@@ -72,7 +82,8 @@ class TestConfig:
     @pytest.mark.parametrize(
         "dt,bound,match",
         [(0.0, 10.0, "dt"), (-0.2, 10.0, "dt"), (float("nan"), 10.0, "dt"),
-         (0.2, 0.0, "bound"), (0.2, -1.0, "bound"), (0.2, float("inf"), "bound")],
+         (0.2, 0.0, "bound"), (0.2, -1.0, "bound"), (0.2, float("inf"), "bound"),
+         ("0.2", 10.0, "dt"), (None, 10.0, "dt"), (0.2, "10", "bound")],
     )
     def test_duration_and_bound_checked(self, dt, bound, match):
         # each used to be accepted and evaluated, or to end in ZeroDivisionError
