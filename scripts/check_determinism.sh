@@ -51,8 +51,8 @@ check not4 "result.json pulses.csv trajectories.csv" \
   run --target not4 --n-pulses 16 --restarts 1 --seed 1
 check robustness_not4 "robustness.json" \
   robustness --target not4 --n-pulses 8 --restarts 1 --seed 1
-# Several restarts in one process: the objective, propagate and env-channel
-# kernels take the spare kernel buffer from one another.
+# Several restarts in one process: objective, propagate and env-channel
+# kernels of several sizes are built and freed in turn.
 check robustness_restarts "robustness.json" \
   robustness --target swap4 --n-pulses 8 --restarts 3 --seed 2
 # Large but finite phases: slices of duration 1e150 through the environment-chain

@@ -103,11 +103,12 @@ class ExperimentConfig:
         if self.min_fidelity is not None and not 0.0 <= self.min_fidelity <= 1.0:
             raise ValueError("min_fidelity must lie in [0, 1]")
         # Index the initial state and build every domain object, so that their own checks
-        # run, then check the scales; the environment chain's phases bound the bare chain's.
+        # run, then check the scales of the bare chain; ``main`` checks the environment
+        # chain's for ``robustness``, the one command that builds it.
         basis_index(self.initial_state, n_sites)
         self.seq_template()
         self.optimizer_config()
-        replace(self.chain(), env_enabled=True).check_phase(self.n_pulses * self.dt, self.bound)
+        self.chain().check_phase(self.n_pulses * self.dt, self.bound)
         self.objective_config().check_scales(self.n_pulses, self.dt, self.bound)
 
     def chain(self) -> ChainSpec:
@@ -304,8 +305,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
-        if args.command == "robustness" and cfg.mu >= 1.0:
-            raise ValueError("robustness requires mu < 1 (the mu=1 leg is run internally)")
+        if args.command == "robustness":
+            if cfg.mu >= 1.0:
+                raise ValueError("robustness requires mu < 1 (the mu=1 leg is run internally)")
+            replace(cfg.chain(), env_enabled=True).check_phase(cfg.n_pulses * cfg.dt, cfg.bound)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -5,13 +5,13 @@ the given durations on the bare chain or on chain + environment qubit: they
 share one buffer, set up once, and each ``run(hx, hy)`` fills them in place
 with the eigensystem of every piecewise-constant slice Hamiltonian and the
 cumulative propagators U_j ... U_1 (its ``forward`` stage is the only place
-where slice propagators are formed or multiplied). ``propagate`` and ``bloch_trajectories``
-build a kernel per call, read the last propagator or every slice boundary from
-it, and leave its memory to the next kernel as the module's spare buffer;
-``propagate`` needs no inner boundary, so it gives each run of equal slices one
-slice of the run's duration. The pulse objective keeps one kernel of every
-slice for its whole life, so that its evaluations reuse the same memory, and
-takes its gradient from the kernel's ``trace_gradient``.
+where slice propagators are formed or multiplied). ``propagate`` and
+``bloch_trajectories`` build a kernel per call and read the last propagator or
+every slice boundary from it; ``propagate`` needs no inner boundary, so it
+gives each run of equal slices one slice of the run's duration. The pulse
+objective keeps one kernel of every slice for its whole life, so that its
+evaluations reuse the same memory, and takes its gradient from the kernel's
+``trace_gradient``.
 
 The kernel works in the chain's symmetry sectors. The isotropic drift and
 star coupling commute with rotations about z, so a slice with field (hx, hy)
@@ -56,9 +56,14 @@ def check_count(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be at least {minimum}, not {value}")
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_positive(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is a positive finite real number."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+    """Raise ValueError unless ``value`` is a positive finite real number (not a bool)."""
+    if not (is_real(value) and math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite")
 
 
@@ -77,8 +82,9 @@ class ChainSpec:
 
     def __post_init__(self):
         check_count("n_sites", self.n_sites, 1)
-        if not (isinstance(self.gamma, numbers.Real) and math.isfinite(self.gamma)
-                and self.gamma >= 0):
+        if not isinstance(self.env_enabled, bool):
+            raise ValueError(f"env_enabled must be a bool, not {self.env_enabled!r}")
+        if not (is_real(self.gamma) and math.isfinite(self.gamma) and self.gamma >= 0):
             raise ValueError("gamma must be non-negative and finite")
 
     @property
@@ -308,35 +314,17 @@ def eigh_stack(h_stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(h_stack)
 
 
-# The memory of a kernel that ``propagate`` or ``bloch_trajectories`` is done
-# with, which the next kernel takes when it is large enough, so that a call
-# writes into pages that are already mapped. Its pop and append are atomic,
-# so two threads never hold the same buffer.
-_spare: list[np.ndarray] = []
-
-
-def _take_buffer(size: int) -> np.ndarray:
-    """The spare buffer if it holds ``size`` floats, else a new one."""
-    try:
-        spare = _spare.pop()
-    except IndexError:
-        spare = None
-    if spare is not None and spare.size >= size:
-        return spare
-    # A smaller spare is dropped first, so that the two are never held at once.
-    del spare
-    return np.empty(size)
-
-
 class SliceKernel:
     """The slice kernel of a chain for n slices, and the arrays it fills.
 
     It shares the chain's ``slice_operators`` with every other kernel of the
-    same chain length and environment flag, keeps the spec's ``gamma`` and
-    copies the (n,) slice ``durations`` into an (n, 1) column. The arrays are
-    views of one float64 buffer, taken here from the module's spare when that
-    is large enough and allocated otherwise; ``release`` makes it the spare.
-    Every ``run(hx, hy)`` overwrites the arrays in place:
+    same chain length and environment flag, keeps the spec's ``gamma`` (0 on
+    the bare chain, which has no star coupling to scale) and copies the (n,)
+    slice ``durations`` into an (n, 1) column. The arrays are views of one
+    float64 buffer that the kernel allocates and owns: as one allocation, the
+    memory of a finished kernel is reused by the next one instead of being
+    faulted in afresh for each array. Every ``run(hx, hy)`` overwrites the
+    arrays in place:
 
     - ``evals`` (n, dim), ``rot`` (n, dim, dim) real orthogonal and ``phase``
       (n, dim): the factored eigensystem of every slice Hamiltonian, with
@@ -352,7 +340,7 @@ class SliceKernel:
 
     def __init__(self, spec: ChainSpec, durations: np.ndarray):
         self.ops = slice_operators(spec.n_sites, spec.env_enabled)
-        self.gamma = spec.gamma
+        self.gamma = spec.gamma if spec.env_enabled else 0.0
         self.durations = np.array(durations, dtype=np.float64)[:, None]
         self.n, self.dim = len(self.durations), self.ops.m.size
         n, dim = self.n, self.dim
@@ -360,8 +348,7 @@ class SliceKernel:
         # viewed as complex) start 16-byte aligned.
         ends = np.cumsum([2 * n * dim, 2 * (n + 1) * dim * dim, 2 * n * dim * dim,
                           n * dim * dim, n * dim, n])
-        self._buffer = _take_buffer(int(ends[-1]))
-        phase, fwd, stage, rot, evals, phi, _ = np.split(self._buffer, ends)
+        phase, fwd, stage, rot, evals, phi, _ = np.split(np.empty(ends[-1]), ends)
         self.phase = _reinterpret(phase, np.complex128, (n, dim))
         self.fwd = _reinterpret(fwd, np.complex128, (n + 1, dim, dim))
         self._stage = stage.reshape(n, 2 * dim, dim)
@@ -369,15 +356,6 @@ class SliceKernel:
         self.evals = evals.reshape(n, dim)
         self.phi = phi
         self._work = None
-
-    def release(self) -> None:
-        """Make this kernel's buffer the module's spare, unless the spare is
-        larger. The kernel and its arrays must not be used afterwards."""
-        try:
-            spare = _spare.pop()
-        except IndexError:
-            spare = self._buffer
-        _spare.append(max(self._buffer, spare, key=np.size))
 
     def run(self, hx: np.ndarray, hy: np.ndarray) -> None:
         """Fill the eigensystem and the cumulative propagators of the slices
@@ -521,10 +499,8 @@ def propagate(spec: ChainSpec, seq: ControlSequence) -> np.ndarray:
     lengths = np.diff(np.r_[starts, seq.n])
     kernel = SliceKernel(spec, seq.dt * lengths)
     kernel.run(hx[starts], hy[starts])
-    # A copy, since the kernel's memory goes to the next kernel.
-    u = kernel.fwd[-1].copy()
-    kernel.release()
-    return u
+    # A copy, since a view would keep the kernel's whole buffer alive.
+    return kernel.fwd[-1].copy()
 
 
 def propagate_with_env(spec: ChainSpec, seq: ControlSequence) -> np.ndarray:
@@ -569,5 +545,4 @@ def bloch_trajectories(
         z = 2.0 * (a.conj() * b).sum(axis=(1, 2))
         out[:, q, 0], out[:, q, 1] = z.real, z.imag
         out[:, q, 2] = (np.abs(a) ** 2).sum(axis=(1, 2)) - (np.abs(b) ** 2).sum(axis=(1, 2))
-    kernel.release()
     return out

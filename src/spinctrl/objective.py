@@ -14,7 +14,6 @@ absolute value.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ from .model import (
     TargetGate,
     check_count,
     check_positive,
+    is_real,
     target_unitary,
 )
 
@@ -49,11 +49,11 @@ class ObjectiveConfig:
     kT: float = 0.01
 
     def __post_init__(self):
-        if not (isinstance(self.mu, numbers.Real) and 0.0 <= self.mu <= 1.0):
+        if not (is_real(self.mu) and 0.0 <= self.mu <= 1.0):
             raise ValueError("mu must lie in [0, 1]")
         if self.surrogate not in SURROGATES:
             raise ValueError(f"unknown surrogate {self.surrogate!r}; expected one of {SURROGATES}")
-        if not (isinstance(self.alpha, numbers.Real) and 0.0 < self.alpha < 1.0):
+        if not (is_real(self.alpha) and 0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
         check_positive("kT", self.kT)
 

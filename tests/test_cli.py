@@ -246,6 +246,15 @@ class TestRobustnessCommand:
         assert code == 2
         assert not out.exists()
 
+    def test_gamma_checked_only_where_the_environment_is_built(self, tmp_path):
+        # with gamma = 1e308 only the environment qubit's phases overflow:
+        # run never builds that chain, robustness rejects it before writing
+        args = ["--target", "not3", "--gamma", "1e308", "--n-pulses", "2", "--restarts", "1"]
+        assert main(["run", *args, "--output-dir", str(tmp_path / "run")]) == 0
+        out = tmp_path / "robustness"
+        assert main(["robustness", *args, "--output-dir", str(out)]) == 2
+        assert not out.exists()
+
     def test_gamma_zero_decouples(self, tmp_path):
         code = main(
             ["robustness", "--target", "not3", "--n-pulses", "6", "--restarts", "1",

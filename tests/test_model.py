@@ -20,7 +20,6 @@ from dense_reference import (
     on_sites,
 )
 from scale_cases import PHASE_OVERFLOW, experiment
-from spinctrl import model
 from spinctrl.model import (
     ChainSpec,
     ControlSequence,
@@ -126,6 +125,12 @@ class TestSpecs:
             pytest.param(lambda: ControlSequence([0.0], [0.0], dt="0.2", bound=1.0), id="dt_str"),
             pytest.param(lambda: ControlSequence([0.0], [0.0], dt=None, bound=1.0), id="dt_none"),
             pytest.param(lambda: ControlSequence([0.0], [0.0], dt=0.2, bound="1"), id="bound_str"),
+            pytest.param(lambda: ChainSpec(3, gamma=True), id="gamma_true"),
+            pytest.param(lambda: ControlSequence([0.0], [0.0], dt=True, bound=1.0), id="dt_true"),
+            pytest.param(lambda: ControlSequence([0.0], [0.0], dt=0.2, bound=True), id="bound_true"),
+            pytest.param(lambda: ChainSpec(3, env_enabled="no"), id="env_enabled_str"),
+            pytest.param(lambda: ChainSpec(3, env_enabled=1), id="env_enabled_int"),
+            pytest.param(lambda: ChainSpec(3, env_enabled=None), id="env_enabled_none"),
         ],
     )
     def test_non_numeric_values_rejected(self, build):
@@ -167,7 +172,8 @@ class TestSpecs:
         check_count("count", value, minimum)
 
     @pytest.mark.parametrize(
-        "value", [0.0, -0.0, -1.0, float("nan"), float("inf"), -float("inf"), "0.2", None, 1j]
+        "value",
+        [0.0, -0.0, -1.0, float("nan"), float("inf"), -float("inf"), "0.2", None, 1j, True, False],
     )
     def test_check_positive_rejects(self, value):
         with pytest.raises(ValueError, match="scale must be positive and finite"):
@@ -539,31 +545,36 @@ class TestPropagate:
         assert np.array_equal(propagate(spec, seq2), u2)
         assert np.array_equal(u1, kept) and not np.array_equal(u1, u2)
 
-    def test_next_kernel_takes_the_buffer(self, monkeypatch):
-        # propagate leaves its kernel's memory as the spare buffer; a second
-        # call of equal or smaller size writes into it, a larger one allocates
-        # and leaves the larger buffer, and an objective built next takes the
-        # spare for good
-        monkeypatch.setattr(model, "_spare", [])
-        used = []
-        release = SliceKernel.release
-        monkeypatch.setattr(SliceKernel, "release", lambda k: (used.append(k.fwd), release(k)))
-        rng = np.random.default_rng(43)
-        spec = ChainSpec(n_sites=3, env_enabled=True)
-        for n in (12, 12, 5, 30):
-            propagate(spec, random_seq(rng, n))
-        assert np.shares_memory(used[1], used[0]) and np.shares_memory(used[2], used[0])
-        assert not np.shares_memory(used[3], used[0])
-        [spare] = model._spare
-        assert np.shares_memory(spare, used[3])
+    def test_bare_chain_ignores_gamma(self):
+        # gamma scales only the star coupling, which the bare chain lacks, so
+        # even a gamma whose coupling would overflow leaves it unchanged
+        seq = random_seq(np.random.default_rng(44), 6, scale=5.0)
+        expected = propagate(ChainSpec(n_sites=3, gamma=0.0), seq)
+        assert np.array_equal(propagate(ChainSpec(n_sites=3, gamma=1e308), seq), expected)
+
+    def test_each_kernel_owns_one_buffer(self):
+        # a kernel's arrays are views of one allocation, so a new kernel maps
+        # one block of memory rather than one per array; live kernels, equal
+        # in size or not, never share memory
+        def root(a):
+            while a.base is not None:
+                a = a.base
+            return a
+
+        env = ChainSpec(n_sites=3, env_enabled=True)
         objective = PulseObjective(
             ChainSpec(n_sites=3), TargetGate("NOT", 3), 8, 0.2, 10.0, ObjectiveConfig(mu=0.5)
         )
-        assert model._spare == [] and np.shares_memory(objective._kernel.fwd, spare)
-        # its evaluations leave no spare, so the next propagate allocates
-        objective.value_and_grad(np.zeros(16))
-        propagate(spec, random_seq(rng, 5))
-        assert not np.shares_memory(used[4], spare)
+        kernels = [SliceKernel(env, np.full(n, 0.2)) for n in (12, 12, 5)]
+        kernels += [SliceKernel(ChainSpec(n_sites=3), np.full(8, 0.2)), objective._kernel]
+        buffers = []
+        for k in kernels:
+            arrays = (k.phase, k.fwd, k._stage, k.rot, k.evals, k.phi)
+            [buffer] = {id(root(a)): root(a) for a in arrays}.values()
+            assert buffer.flags.owndata
+            buffers.append(buffer)
+        for i, a in enumerate(buffers):
+            assert not any(np.shares_memory(a, b) for b in buffers[i + 1:])
 
     def test_threads_match_serial_calls(self):
         # threads that propagate at once (more of them than cores, switching

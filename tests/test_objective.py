@@ -54,8 +54,10 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [{"mu": "0.2"}, {"mu": None}, {"mu": 0.5, "alpha": None}, {"mu": 0.5, "alpha": "0.5"},
-         {"mu": 0.5, "kT": "x"}, {"mu": 0.5, "kT": None}],
-        ids=["mu_str", "mu_none", "alpha_none", "alpha_str", "kT_str", "kT_none"],
+         {"mu": 0.5, "kT": "x"}, {"mu": 0.5, "kT": None}, {"mu": True}, {"mu": False},
+         {"mu": 0.5, "kT": True}],
+        ids=["mu_str", "mu_none", "alpha_none", "alpha_str", "kT_str", "kT_none", "mu_true",
+             "mu_false", "kT_true"],
     )
     def test_non_numeric_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
