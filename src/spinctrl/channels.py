@@ -17,6 +17,7 @@ from .model import (
     ChainSpec,
     ControlSequence,
     TargetGate,
+    check_count,
     propagate,
     propagate_with_env,
     target_unitary,
@@ -35,6 +36,7 @@ class ChoiMatrix:
     factor: np.ndarray
 
     def __post_init__(self):
+        check_count("system_dim", self.system_dim, 1)
         f = np.asarray(self.factor, dtype=np.complex128)
         object.__setattr__(self, "factor", f)
         d2 = self.system_dim**2

@@ -270,19 +270,20 @@ def slice_operators(n_sites: int, env_enabled: bool) -> SliceOperators:
         free_rot=np.empty((k.size, k.size)),
     )
     zero = np.zeros(1)
-    _diagonalize_sectors(ops, zero, zero, ops.free_evals[None], ops.free_rot[None])
+    _diagonalize_sectors(ops, zero, zero, slice(None), ops.free_evals[None], ops.free_rot[None])
     for a in (ops.basis, ops.m, *ops.drift, *ops.field, *(ops.star or ()), ops.free_evals,
               ops.free_rot):
         a.setflags(write=False)
     return ops
 
 
-def _diagonalize_sectors(ops: SliceOperators, r, s, evals, rot) -> None:
+def _diagonalize_sectors(ops: SliceOperators, r, s, on, evals, rot) -> None:
     """Write the eigensystem of the inner matrix drift + r_j*field [+ s_j*star]
-    of every slice j into ``evals`` (k, dim) and ``rot`` (k, dim, dim), one
-    sector at a time: one ``eigh_stack`` call per sector larger than 1x1, and
-    rot = basis * blockdiag(W). A 1x1 sector (all spins along +x or -x) is
-    its own eigensystem."""
+    of the slices j in ``on`` (a mask or a slice) into their rows of ``evals``
+    and ``rot``, one sector at a time: one ``eigh_stack`` call per sector
+    larger than 1x1, and rot = basis * blockdiag(W). A 1x1 sector (all spins
+    along +x or -x) is its own eigensystem."""
+    r, s = r[on], s[on]
     for k, cols in enumerate(ops.sectors):
         # Exactly symmetric, as drift, field and star are, so eigh_stack
         # may read one triangle.
@@ -291,12 +292,12 @@ def _diagonalize_sectors(ops: SliceOperators, r, s, evals, rot) -> None:
             blocks += s[:, None, None] * ops.star[k]
         if blocks.shape[-1] == 1:
             # A 1x1 block is its own eigenvalue, with eigenvector 1.
-            evals[:, cols] = blocks[:, 0]
-            rot[:, :, cols] = ops.basis[:, cols]
+            evals[on, cols] = blocks[:, 0]
+            rot[on, :, cols] = ops.basis[:, cols]
         else:
             lam, w = eigh_stack(blocks)
-            evals[:, cols] = lam
-            np.matmul(ops.basis[:, cols], w, out=rot[:, :, cols])
+            evals[on, cols] = lam
+            rot[on, :, cols] = ops.basis[:, cols] @ w
 
 
 def _reinterpret(a: np.ndarray, dtype, shape) -> np.ndarray:
@@ -333,9 +334,9 @@ class SliceKernel:
     - ``fwd`` (n + 1, dim, dim): entry 0 is the identity and entry j is
       U_j ... U_2 U_1 (see ``forward``).
 
-    Scratch stacks of its own serve ``diagonalize``, ``forward`` and
-    ``trace_gradient``; the latter's complex (n, dim, dim) one is allocated on
-    its first call. A caller copies whatever it keeps past the next run.
+    Scratch stacks of its own serve ``forward`` and ``trace_gradient``; the
+    latter's complex (n, dim, dim) one is allocated on its first call. A
+    caller copies whatever it keeps past the next run.
     """
 
     def __init__(self, spec: ChainSpec, durations: np.ndarray):
@@ -376,7 +377,7 @@ class SliceKernel:
         stored ``free_evals`` and ``free_rot``: only the slices with r > 0
         are diagonalized.
         """
-        ops, n, dim = self.ops, self.n, self.dim
+        ops, n = self.ops, self.n
         if np.shape(hx) != (n,) or np.shape(hy) != (n,):
             raise ValueError(f"expected {n} field values per axis")
         r = np.hypot(hx, hy)
@@ -384,19 +385,10 @@ class SliceKernel:
         np.exp(-0.5j * self.phi[:, None] * ops.m, out=self.phase)
         s = self.gamma * (np.abs(hx) + np.abs(hy))
         free = r == 0.0
-        if not free.any():
-            _diagonalize_sectors(ops, r, s, self.evals, self.rot)
-            return
         self.evals[free] = ops.free_evals
         self.rot[free] = ops.free_rot
-        on = np.flatnonzero(~free)
-        if on.size:
-            # The slices with r > 0 are diagonalized into scratch, then scattered.
-            evals = np.empty((on.size, dim))
-            rot = self._stage.reshape(-1)[: on.size * dim * dim].reshape(on.size, dim, dim)
-            _diagonalize_sectors(ops, r[on], s[on], evals, rot)
-            self.evals[on] = evals
-            self.rot[on] = rot
+        on = ~free if free.any() else slice(None)  # a slice keeps r[on] a view
+        _diagonalize_sectors(ops, r, s, on, self.evals, self.rot)
 
     def forward(self) -> None:
         """Cumulative propagators of the eigensystem held in ``evals``, ``rot``
@@ -513,7 +505,7 @@ def propagate_with_env(spec: ChainSpec, seq: ControlSequence) -> np.ndarray:
 def basis_index(label: str, n_sites: int) -> int:
     """Index of the computational basis state that an ``n_sites``-character
     bit string labels; qubit 1 is the leftmost character."""
-    if len(label) != n_sites or any(c not in "01" for c in label):
+    if not isinstance(label, str) or len(label) != n_sites or any(c not in "01" for c in label):
         raise ValueError(f"initial state {label!r} is not a {n_sites}-bit string")
     return int(label, 2)
 

@@ -10,7 +10,8 @@ from typing import Callable
 
 import numpy as np
 
-from .model import ChainSpec, ControlSequence, TargetGate, check_count, propagate, target_unitary
+from .model import (ChainSpec, ControlSequence, TargetGate, check_count, check_positive, propagate,
+                    target_unitary)
 from .objective import ObjectiveConfig, PulseObjective, fidelity, penalty
 
 _CURVATURE_EPS = 1e-12
@@ -108,7 +109,7 @@ def bfgs_minimize(
     bound: float,
     cfg: OptimizerConfig,
 ) -> tuple[np.ndarray, BfgsInfo]:
-    """Minimize inside the box |x_i| <= bound.
+    """Minimize inside the box |x_i| <= bound, for a positive finite bound.
 
     ``value_and_grad`` returns the objective and its gradient at a point;
     the two must be consistent (the caller guarantees it). A variable on the
@@ -123,6 +124,7 @@ def bfgs_minimize(
     symmetric to rounding. A failed line search ends the run at the best
     point so far, flagged in the returned info.
     """
+    check_positive("bound", bound)
     evaluations = 0
 
     def counted(x):

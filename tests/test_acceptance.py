@@ -16,7 +16,7 @@ import pytest
 from dense_reference import SX
 from spinctrl.channels import choi_distance, choi_of_env_channel, choi_of_unitary, robustness_experiment
 from spinctrl.cli import main
-from spinctrl.model import ChainSpec, ControlSequence, TargetGate, propagate
+from spinctrl.model import ChainSpec, ControlSequence, TargetGate, propagate, target_unitary
 from spinctrl.objective import ObjectiveConfig, PulseObjective
 from spinctrl.optimizer import OptimizerConfig
 
@@ -89,9 +89,10 @@ def test_not3_state_transfer(not3_run):
     report("state transfer |000> -> |001>", overlap > 0.98, f"overlap={overlap:.6f}")
 
 
-def test_table_ordering():
-    failures = []
-    details = []
+@pytest.fixture(scope="module")
+def table_reports():
+    """The robustness reports of NOT3 and SWAP3 at gamma = 0.1, seeds 0-2."""
+    reports = []
     for kind in ("NOT", "SWAP"):
         target = TargetGate(kind, 3)
         chain = ChainSpec(n_sites=3, gamma=0.1)
@@ -101,17 +102,48 @@ def test_table_ordering():
             rep = robustness_experiment(
                 target, chain, tmpl, cfg, OptimizerConfig(seed=seed, restarts=2)
             )
-            for d in (rep.dist_no_env_mu1, rep.dist_no_env_muL, rep.dist_env_mu1, rep.dist_env_muL):
-                assert 0.0 <= d <= 2.0 + 1e-12
-            # a converged mu=1 leg leaves essentially no env-free distance
-            assert rep.dist_no_env_mu1 < 0.02
-            ok = rep.dist_env_muL < rep.dist_env_mu1
-            details.append(
-                f"{kind}3 seed={seed}: {rep.dist_env_muL:.4f} < {rep.dist_env_mu1:.4f} {ok}"
-            )
-            if not ok:
-                failures.append(details[-1])
+            reports.append((kind, seed, rep))
+    return reports
+
+
+def test_table_ordering(table_reports):
+    failures = []
+    details = []
+    for kind, seed, rep in table_reports:
+        for d in (rep.dist_no_env_mu1, rep.dist_no_env_muL, rep.dist_env_mu1, rep.dist_env_muL):
+            assert 0.0 <= d <= 2.0 + 1e-12
+        # a converged mu=1 leg leaves essentially no env-free distance
+        assert rep.dist_no_env_mu1 < 0.02
+        ok = rep.dist_env_muL < rep.dist_env_mu1
+        details.append(
+            f"{kind}3 seed={seed}: {rep.dist_env_muL:.4f} < {rep.dist_env_mu1:.4f} {ok}"
+        )
+        if not ok:
+            failures.append(details[-1])
     report("Table ordering (env distance, mu<1 vs mu=1)", not failures, "; ".join(details))
+
+
+def test_sparse_leg_wins_where_gamma_discriminates(table_reports):
+    # At gamma = 0.1 both legs sit near the trace-distance ceiling of 2; at
+    # gamma = 0.01 and 0.03 the mu=1 leg's env distance is about twice the
+    # mu=0.2 leg's (1.8-2.5x on these solutions)
+    failures = []
+    details = []
+    for kind, seed, rep in table_reports:
+        choi_target = choi_of_unitary(target_unitary(TargetGate(kind, 3)))
+        for gamma in (0.01, 0.03):
+            env = ChainSpec(n_sites=3, env_enabled=True, gamma=gamma)
+            mu1, muL = (
+                choi_distance(choi_target, choi_of_env_channel(env, res.best_seq))
+                for res in (rep.result_mu1, rep.result_muL)
+            )
+            ratio = mu1 / muL
+            details.append(
+                f"{kind}3 seed={seed} gamma={gamma}: {mu1:.4f} / {muL:.4f} = {ratio:.2f}"
+            )
+            if not ratio >= 1.5:
+                failures.append(details[-1])
+    report("Env distance ratio mu=1 / mu<1 >= 1.5", not failures, "; ".join(details))
 
 
 def test_gradient_matches_finite_differences():

@@ -118,6 +118,12 @@ class TestChoiMatrixValidation:
         with pytest.raises(ValueError):
             ChoiMatrix(system_dim=2, factor=np.full((4, 1), np.nan))
 
+    @pytest.mark.parametrize("system_dim", [True, 2.0, "2", 0])
+    def test_rejects_a_dim_that_is_not_a_count(self, system_dim):
+        # True and 2.0 used to construct, and "2" to raise TypeError
+        with pytest.raises(ValueError, match="system_dim"):
+            ChoiMatrix(system_dim=system_dim, factor=[[1.0]])
+
     def test_matrix_of_unit_factor_is_hermitian_psd(self):
         rng = np.random.default_rng(59)
         f = rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3))

@@ -144,6 +144,19 @@ class TestBfgsMinimize:
         assert info.converged
         assert info.iterations <= 5
 
+    @pytest.mark.parametrize("bound", [0.0, -1.0, float("nan"), True])
+    def test_rejects_a_bound_that_is_not_positive(self, bound):
+        # 0 used to spend every iteration without moving, -1 to return
+        # x = -1 and NaN to end in a failed line search with x = NaN
+        def f(x):
+            return float(np.sum((x - 0.3) ** 2))
+
+        def g(x):
+            return 2.0 * (x - 0.3)
+
+        with pytest.raises(ValueError, match="bound"):
+            bfgs_minimize(fused(f, g), np.ones(3), bound, OptimizerConfig(max_iters=200))
+
     @pytest.mark.parametrize("seed", [3, 4])
     def test_bounded_pulse_problem_converges_inside_box(self, seed):
         # not3 at b=2, mu=0.9: the optimum has pulses on the bound, where the
