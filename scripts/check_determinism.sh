@@ -6,13 +6,21 @@
 # difference, and on any numpy RuntimeWarning (overflow, invalid value), which
 # is an error.
 #
-#   scripts/check_determinism.sh [WORK_DIR]
+#   scripts/check_determinism.sh [WORK_DIR [BASE_CHECKOUT]]
 #
 # Run from the root of a checkout; outputs go under WORK_DIR (a new temporary
-# directory by default).
+# directory by default). Given the root of another checkout BASE_CHECKOUT (for
+# example a copy of the parent commit), each case also runs a third time with
+# PYTHONPATH=BASE_CHECKOUT/src, and its files must match the first run's byte
+# for byte.
 set -euo pipefail
 
 work="${1:-$(mktemp -d)}"
+base="${2:-}"
+if [[ -n $base && ! -d $base/src/spinctrl ]]; then
+  echo "no spinctrl package under $base/src" >&2
+  exit 2
+fi
 
 # check NAME "FILES" CLI-ARGS...
 check() {
@@ -21,10 +29,17 @@ check() {
   PYTHONPATH=src python -W error::RuntimeWarning -m spinctrl.cli "$@" --output-dir "$work/$name-a"
   OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -W error::RuntimeWarning -m spinctrl.cli "$@" \
     --output-dir "$work/$name-b"
-  for f in $files; do
-    cmp "$work/$name-a/$f" "$work/$name-b/$f"
+  if [[ -n $base ]]; then
+    PYTHONPATH="$base/src" python -W error::RuntimeWarning -m spinctrl.cli "$@" \
+      --output-dir "$work/$name-base"
+  fi
+  for run in b ${base:+base}; do
+    for f in $files; do
+      cmp "$work/$name-a/$f" "$work/$name-$run/$f" ||
+        { echo "differs: $name ($f, run $run)" >&2; exit 1; }
+    done
   done
-  echo "identical: $name ($files)"
+  echo "identical: $name ($files${base:+, and with $base})"
 }
 
 check determinism "result.json pulses.csv trajectories.csv" \

@@ -16,7 +16,8 @@ from dataclasses import MISSING, Field, asdict, dataclass, field, fields, replac
 from pathlib import Path
 
 from .channels import robustness_experiment
-from .model import ChainSpec, ControlSequence, TargetGate, basis_index, bloch_trajectories
+from .model import (ChainSpec, ControlSequence, TargetGate, basis_index, bloch_trajectories,
+                    is_real)
 from .objective import SURROGATES, ObjectiveConfig
 from .optimizer import OptimizerConfig, optimize_controls
 
@@ -89,15 +90,16 @@ class ExperimentConfig:
                 if not isinstance(value, str):
                     raise ValueError(f"{f.name} must be a string, not {value!r}")
             else:
-                # int() and float() would quietly turn 6.9 into 6 and true into 1.
-                if isinstance(value, bool) or (
+                # int() and float() would quietly turn 6.9 into 6, true into 1 and
+                # "1_0" into 10; flags arrive already converted by argparse.
+                if not is_real(value) or (
                     kind is int and isinstance(value, float) and not value.is_integer()
                 ):
                     raise ValueError(f"{f.name} must be {kind.__name__}, not {value!r}")
                 try:
                     value = kind(value)
-                except (TypeError, ValueError, OverflowError) as e:
-                    raise ValueError(f"{f.name} has the wrong type: {e}") from None
+                except (ValueError, OverflowError) as e:
+                    raise ValueError(f"{f.name} must be a finite {kind.__name__}: {e}") from None
             object.__setattr__(self, f.name, value)
 
         if self.min_fidelity is not None and not 0.0 <= self.min_fidelity <= 1.0:

@@ -123,8 +123,11 @@ class ControlSequence:
     bound: float
 
     def __post_init__(self):
-        hx = np.atleast_1d(np.asarray(self.hx, dtype=np.float64))
-        hy = np.atleast_1d(np.asarray(self.hy, dtype=np.float64))
+        try:
+            hx = np.atleast_1d(np.asarray(self.hx, dtype=np.float64))
+            hy = np.atleast_1d(np.asarray(self.hy, dtype=np.float64))
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"pulse amplitudes must be real numbers: {e}") from None
         object.__setattr__(self, "hx", hx)
         object.__setattr__(self, "hy", hy)
         if hx.ndim != 1 or hx.shape != hy.shape:
@@ -156,6 +159,7 @@ class ControlSequence:
 
     @classmethod
     def zeros(cls, n: int, dt: float, bound: float) -> "ControlSequence":
+        check_count("n", n, 1)
         return cls(hx=np.zeros(n), hy=np.zeros(n), dt=dt, bound=bound)
 
 

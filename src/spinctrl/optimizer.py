@@ -74,32 +74,21 @@ def _wolfe_search(vag, point, p, f0, g0, a_max):
     return None
 
 
-def _set_identity(hmat: np.ndarray) -> None:
-    """Overwrite the square matrix ``hmat`` with the identity."""
-    hmat.fill(0.0)
-    np.fill_diagonal(hmat, 1.0)
-
-
-def _bfgs_update(hmat, s, y, sy, work, cols, rows) -> None:
+def _bfgs_update(hmat, s, y, sy, work) -> None:
     """The BFGS update of the inverse Hessian, in place:
     H <- (I - rho*s*y^T) H (I - rho*y*s^T) + rho*s*s^T with rho = 1/sy
     (Nocedal and Wright, Numerical Optimization, 2nd ed., 2006, eq. 6.17).
 
     With hy = H*y and c = rho^2*(sy + y^T*hy) this equals
     H + s*v^T + v*s^T with v = (c/2)*s - rho*hy, formed as one product of
-    the (dim, 2) ``cols`` = [s, v] and the (2, dim) ``rows`` = [v; s] into
-    ``work`` (dim, dim). The two terms are each other's transpose, so H stays
-    symmetric to rounding.
+    the (dim, 2) [s, v] and the (2, dim) [v; s] into ``work`` (dim, dim). The
+    two terms are each other's transpose, so H stays symmetric to rounding.
     """
     hy = hmat @ y
     rho = 1.0 / sy
     c = rho * rho * (sy + float(y @ hy))
-    cols[:, 0] = s
-    np.multiply(0.5 * c, s, out=cols[:, 1])
-    cols[:, 1] -= rho * hy
-    rows[0] = cols[:, 1]
-    rows[1] = s
-    np.matmul(cols, rows, out=work)
+    v = 0.5 * c * s - rho * hy
+    np.matmul(np.column_stack([s, v]), np.vstack([v, s]), out=work)
     hmat += work
 
 
@@ -118,13 +107,18 @@ def bfgs_minimize(
     the components held by the gradient zeroed) has |pg|∞ <= ``_GRAD_TOL``.
     The step -H·pg, held components zeroed, ends at the nearest bound at the
     latest, so every evaluated point lies in the box. The BFGS update ignores
-    held variables; H is reset to identity only when s·y <= 1e-12 or descent
-    is lost. H and the scratch of its update are allocated once per run, and
+    held variables. H starts as the identity, and is reset to it only when
+    s·y <= 1e-12 or descent is lost; it is allocated at the first curvature
+    pair after a start or reset, scaled by s·y/y·y (Nocedal and Wright,
+    eq. 6.20). Only the scratch of its update is allocated once per run, and
     the update is one in-place rank-2 product (``_bfgs_update``) that keeps H
     symmetric to rounding. A failed line search ends the run at the best
     point so far, flagged in the returned info.
     """
     check_positive("bound", bound)
+    x = np.asarray(x0, dtype=np.float64)
+    if x.ndim != 1 or x.size == 0 or np.isnan(x).any():
+        raise ValueError("x0 must be a non-empty 1-D vector without NaN")
     evaluations = 0
 
     def counted(x):
@@ -132,13 +126,11 @@ def bfgs_minimize(
         evaluations += 1
         return value_and_grad(x)
 
-    x = np.clip(np.asarray(x0, dtype=np.float64), -bound, bound)
+    x = np.clip(x, -bound, bound)
     f, g = counted(x)
     dim = x.size
-    hmat = np.empty((dim, dim))
-    _set_identity(hmat)
-    work, cols, rows = np.empty((dim, dim)), np.empty((dim, 2)), np.empty((2, dim))
-    fresh_hessian = True
+    hmat = None  # the identity, until a curvature pair scales it
+    work = np.empty((dim, dim))
     ls_failed = False
     it = 0
     while True:
@@ -148,12 +140,11 @@ def bfgs_minimize(
         if converged or it == cfg.max_iters:
             break
         it += 1
-        p = -(hmat @ pg)
+        p = -pg if hmat is None else -(hmat @ pg)
         p[on_bound & ((x * g < 0.0) | (x * p > 0.0))] = 0.0
         if float(g @ p) >= 0.0:
             # Numerically lost descent; restart from steepest descent.
-            _set_identity(hmat)
-            fresh_hessian = True
+            hmat = None
             p = -pg
         held = on_bound & (x * p >= 0.0)
 
@@ -175,13 +166,12 @@ def bfgs_minimize(
         y = np.where(held, 0.0, g_new - g)
         sy = float(s @ y)
         if sy <= _CURVATURE_EPS:
-            _set_identity(hmat)
-            fresh_hessian = True
+            hmat = None
         else:
-            if fresh_hessian:
+            if hmat is None:
+                hmat = np.eye(dim)
                 hmat *= sy / float(y @ y)
-                fresh_hessian = False
-            _bfgs_update(hmat, s, y, sy, work, cols, rows)
+            _bfgs_update(hmat, s, y, sy, work)
 
         x, f, g = x_new, f_new, g_new
 

@@ -147,6 +147,11 @@ class TestRunCommand:
             pytest.param(None, {"seed": 2.5, "n_pulses": 2, "restarts": 1}, id="file_seed_2.5"),
             pytest.param(None, {"restarts": True, "n_pulses": 2}, id="file_restarts_true"),
             pytest.param(None, {"dt": True, "n_pulses": 2, "restarts": 1}, id="file_dt_true"),
+            pytest.param(
+                None,
+                {"n_pulses": "1_0", "dt": " 0.2 ", "restarts": "1", "seed": "7"},
+                id="file_numeric_strings",
+            ),
         ],
     )
     def test_invalid_config_exits_2_without_files(self, tmp_path, flags, config):

@@ -158,6 +158,13 @@ class TestSpecs:
             pytest.param(
                 lambda: ControlSequence.from_vector(np.zeros(3), 0.2, 10.0), id="odd_vector"
             ),
+            pytest.param(
+                lambda: ControlSequence(hx=[1j], hy=[0.0], dt=0.2, bound=1.0), id="complex"
+            ),
+            *(
+                pytest.param(lambda n=n: ControlSequence.zeros(n, 0.2, 1.0), id=f"zeros_{n!r}")
+                for n in (2.5, True, "3", None, -1)
+            ),
         ],
     )
     def test_sequence_shape_rejected(self, build):

@@ -157,6 +157,15 @@ class TestBfgsMinimize:
         with pytest.raises(ValueError, match="bound"):
             bfgs_minimize(fused(f, g), np.ones(3), bound, OptimizerConfig(max_iters=200))
 
+    @pytest.mark.parametrize(
+        "x0", [[float("nan"), 1.0], [], np.zeros((2, 2))], ids=["nan", "empty", "matrix"]
+    )
+    def test_rejects_an_x0_that_is_not_a_vector(self, x0):
+        # a NaN start used to end in a failed line search with x = [nan, 1];
+        # an empty or 2-D one to fail inside numpy with an unrelated message
+        with pytest.raises(ValueError, match="x0"):
+            bfgs_minimize(lambda x: (float(x @ x), 2.0 * x), x0, 1.0, OptimizerConfig())
+
     @pytest.mark.parametrize("seed", [3, 4])
     def test_bounded_pulse_problem_converges_inside_box(self, seed):
         # not3 at b=2, mu=0.9: the optimum has pulses on the bound, where the
@@ -227,8 +236,7 @@ class TestBfgsMinimize:
         rho = 1.0 / sy
         left = np.eye(dim) - rho * np.outer(s, y)
         expected = left @ hmat @ left.T + rho * np.outer(s, s)
-        scratch = np.empty((dim, dim)), np.empty((dim, 2)), np.empty((2, dim))
-        _bfgs_update(hmat, s, y, sy, *scratch)
+        _bfgs_update(hmat, s, y, sy, np.empty((dim, dim)))
         assert np.max(np.abs(hmat - expected)) <= 1e-12 * np.max(np.abs(expected))
         # secant equation H_new y = s
         assert np.max(np.abs(hmat @ y - s)) <= 1e-10 * np.max(np.abs(s))
@@ -257,6 +265,23 @@ class TestBfgsMinimize:
             tracemalloc.stop()
         assert info.iterations == 30
         assert peak < 2.5 * dim * dim * 8
+
+    def test_lost_descent_resets_to_steepest_descent(self, monkeypatch):
+        # a positive definite H cannot lose descent in exact arithmetic, so
+        # the reset is reached by negating H after every update; the run must
+        # still converge on a convex quadratic instead of failing its line search
+        real_update = _bfgs_update
+
+        def negating_update(hmat, *args):
+            real_update(hmat, *args)
+            np.negative(hmat, out=hmat)
+
+        monkeypatch.setattr("spinctrl.optimizer._bfgs_update", negating_update)
+        vag = convex_quadratic(6, 3)
+        x, info = bfgs_minimize(vag, np.zeros(6), 100.0, OptimizerConfig())
+        assert info.converged
+        assert not info.line_search_failed
+        assert np.max(np.abs(vag(x)[1])) <= _GRAD_TOL
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
