@@ -18,6 +18,7 @@ from .model import (
     ControlSequence,
     TargetGate,
     check_count,
+    numeric_array,
     propagate,
     propagate_with_env,
     target_unitary,
@@ -37,7 +38,7 @@ class ChoiMatrix:
 
     def __post_init__(self):
         check_count("system_dim", self.system_dim, 1)
-        f = np.asarray(self.factor, dtype=np.complex128)
+        f = numeric_array("factor", self.factor, np.complex128)
         object.__setattr__(self, "factor", f)
         d2 = self.system_dim**2
         if f.ndim != 2 or f.shape[0] != d2 or f.shape[1] < 1:
@@ -58,7 +59,7 @@ def choi_of_unitary(u: np.ndarray) -> ChoiMatrix:
     position (a, i), i.e. (1/sqrt(n)) sum_i U|i> ⊗ |i>. U must be unitary
     within 1e-8 (max-abs deviation of U^dag U from the identity).
     """
-    u = np.asarray(u, dtype=np.complex128)
+    u = numeric_array("u", u, np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("expected a square matrix")
     if not np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-8:

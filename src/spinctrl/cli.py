@@ -108,10 +108,10 @@ class ExperimentConfig:
         # run, then check the scales of the bare chain; ``main`` checks the environment
         # chain's for ``robustness``, the one command that builds it.
         basis_index(self.initial_state, n_sites)
-        self.seq_template()
+        seq = self.seq_template()
         self.optimizer_config()
         self.chain().check_phase(self.n_pulses * self.dt, self.bound)
-        self.objective_config().check_scales(self.n_pulses, self.dt, self.bound)
+        self.objective_config().check_scales(seq)
 
     def chain(self) -> ChainSpec:
         return ChainSpec(n_sites=TARGETS[self.target][1], gamma=self.gamma)

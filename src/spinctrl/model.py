@@ -67,6 +67,15 @@ def check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite")
 
 
+def numeric_array(name: str, value, dtype=np.float64) -> np.ndarray:
+    """``value`` as a ``dtype`` array, not copied if it is one. Raise ValueError unless its entries
+    are integers or reals, or complex for a complex ``dtype``: no numeric string and no bool."""
+    a, complex_ok = np.asarray(value), np.dtype(dtype).kind == "c"
+    if a.dtype.kind not in ("iuf" + "c" * complex_ok):
+        raise ValueError(f"{name} must hold {'' if complex_ok else 'real '}numbers, not {a.dtype}")
+    return a.astype(dtype, copy=False)
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Chain geometry and couplings, in units of the exchange coupling.
@@ -111,7 +120,8 @@ class ChainSpec:
 
 @dataclass(frozen=True)
 class ControlSequence:
-    """Piecewise-constant pulse amplitudes (hx, hy) with slice duration dt.
+    """Piecewise-constant pulse amplitudes (hx, hy) with slice duration dt,
+    held as float64 arrays and floats.
 
     Amplitudes must respect |h| <= bound exactly; the optimizer keeps iterates
     inside the box by projection, which lands on ±bound itself.
@@ -123,19 +133,17 @@ class ControlSequence:
     bound: float
 
     def __post_init__(self):
-        try:
-            hx = np.atleast_1d(np.asarray(self.hx, dtype=np.float64))
-            hy = np.atleast_1d(np.asarray(self.hy, dtype=np.float64))
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"pulse amplitudes must be real numbers: {e}") from None
+        hx = np.atleast_1d(numeric_array("hx", self.hx))
+        hy = np.atleast_1d(numeric_array("hy", self.hy))
         object.__setattr__(self, "hx", hx)
         object.__setattr__(self, "hy", hy)
         if hx.ndim != 1 or hx.shape != hy.shape:
             raise ValueError("hx and hy must be 1-D arrays of equal length")
         if hx.size < 1:
             raise ValueError("at least one pulse slice is required")
-        check_positive("dt", self.dt)
-        check_positive("bound", self.bound)
+        for name in ("dt", "bound"):
+            check_positive(name, getattr(self, name))
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not (np.all(np.isfinite(hx)) and np.all(np.isfinite(hy))):
             raise ValueError("pulse amplitudes must be finite")
         if max(np.max(np.abs(hx)), np.max(np.abs(hy))) > self.bound:
@@ -151,7 +159,7 @@ class ControlSequence:
 
     @classmethod
     def from_vector(cls, x: np.ndarray, dt: float, bound: float) -> "ControlSequence":
-        x = np.asarray(x, dtype=np.float64)
+        x = numeric_array("x", x)
         if x.ndim != 1 or x.size % 2 != 0:
             raise ValueError("pulse vector must be 1-D with even length")
         n = x.size // 2

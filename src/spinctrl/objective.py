@@ -23,7 +23,6 @@ from .model import (
     ControlSequence,
     SliceKernel,
     TargetGate,
-    check_count,
     check_positive,
     is_real,
     target_unitary,
@@ -57,10 +56,12 @@ class ObjectiveConfig:
             raise ValueError("alpha must lie in (0, 1)")
         check_positive("kT", self.kT)
 
-    def check_scales(self, n: int, dt: float, bound: float) -> None:
-        """Raise ValueError unless, for n slices of duration dt and |h| <= bound, the optimizer's
-        g @ g (2*n entries of at most dt + 1/(n*min(bound, 1)), fidelity plus penalty slope) and
-        the Fermi-Dirac scales |h|/(2*kT) and 2*kT are finite, whatever the surrogate."""
+    def check_scales(self, seq: ControlSequence) -> None:
+        """Raise ValueError unless, for the n slices of duration dt and |h| <= bound of the
+        template ``seq``, the optimizer's g @ g (2*n entries of at most dt + 1/(n*min(bound, 1)),
+        fidelity plus penalty slope) and the Fermi-Dirac scales |h|/(2*kT) and 2*kT are finite,
+        whatever the surrogate."""
+        n, dt, bound = seq.n, seq.dt, seq.bound
         slope, two_kt = dt + 1.0 / (n * min(bound, 1.0)), 2.0 * float(self.kT)
         if not math.isfinite(2 * n * slope * slope + bound / two_kt + two_kt):
             raise ValueError("2*n_pulses*(dt + 1/(n_pulses*min(bound, 1)))^2, bound/(2*kT) or 2*kT "
@@ -106,8 +107,11 @@ def surrogate_abs(x, cfg: ObjectiveConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 class PulseObjective:
-    """Evaluates the minimized functional and its exact gradient for a flat
-    pulse vector x = [hx_1..hx_n, hy_1..hy_n].
+    """``PulseObjective(spec, target, seq, cfg)`` evaluates the minimized
+    functional and its exact gradient for a flat pulse vector
+    x = [hx_1..hx_n, hy_1..hy_n] of pulses shaped like the template ``seq``:
+    n = seq.n slices of duration seq.dt, with |h| <= seq.bound. The template's
+    amplitudes are ignored.
 
     The fidelity gradient is exact: the slice kernel differentiates each
     slice propagator through its eigendecomposition (see
@@ -120,32 +124,18 @@ class PulseObjective:
     do not change on later calls.
     """
 
-    def __init__(
-        self,
-        spec: ChainSpec,
-        target: TargetGate,
-        n: int,
-        dt: float,
-        bound: float,
-        cfg: ObjectiveConfig,
-    ):
-        check_count("n", n, 1)
+    def __init__(self, spec: ChainSpec, target: TargetGate, seq: ControlSequence,
+                 cfg: ObjectiveConfig):
         if spec.env_enabled:
             raise ValueError("pulses are optimized on the bare chain; disable the environment qubit")
         if target.n_sites != spec.n_sites:
             raise ValueError("target and chain have different site counts")
-        check_positive("dt", dt)
-        check_positive("bound", bound)
-        self.n = int(n)
-        self.dt = float(dt)
-        self.bound = float(bound)
         # A run of all n slices, as ``propagate`` may merge them into one.
-        spec.check_phase(self.n * self.dt, self.bound)
-        cfg.check_scales(self.n, self.dt, self.bound)
-        self.cfg = cfg
-        self.dim = spec.dim
+        spec.check_phase(seq.n * seq.dt, seq.bound)
+        cfg.check_scales(seq)
+        self.n, self.bound, self.cfg, self.dim = seq.n, seq.bound, cfg, spec.dim
         self._ut_dag = target_unitary(target).conj().T
-        self._kernel = SliceKernel(spec, np.full(self.n, self.dt))
+        self._kernel = SliceKernel(spec, np.full(seq.n, seq.dt))
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         n, dim, cfg = self.n, self.dim, self.cfg

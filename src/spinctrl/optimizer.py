@@ -10,8 +10,8 @@ from typing import Callable
 
 import numpy as np
 
-from .model import (ChainSpec, ControlSequence, TargetGate, check_count, check_positive, propagate,
-                    target_unitary)
+from .model import (ChainSpec, ControlSequence, TargetGate, check_count, check_positive,
+                    numeric_array, propagate, target_unitary)
 from .objective import ObjectiveConfig, PulseObjective, fidelity, penalty
 
 _CURVATURE_EPS = 1e-12
@@ -116,7 +116,7 @@ def bfgs_minimize(
     point so far, flagged in the returned info.
     """
     check_positive("bound", bound)
-    x = np.asarray(x0, dtype=np.float64)
+    x = numeric_array("x0", x0)
     if x.ndim != 1 or x.size == 0 or np.isnan(x).any():
         raise ValueError("x0 must be a non-empty 1-D vector without NaN")
     evaluations = 0
@@ -217,7 +217,7 @@ def optimize_controls(
     functional, ties going to the lower restart index. Deterministic given
     (seed, configs).
     """
-    po = PulseObjective(spec, target, seq_template.n, seq_template.dt, seq_template.bound, obj_cfg)
+    po = PulseObjective(spec, target, seq_template, obj_cfg)
     u_target = target_unitary(target)
     children = np.random.SeedSequence(opt_cfg.seed).spawn(opt_cfg.restarts)
     amplitude = min(_INIT_AMPLITUDE, seq_template.bound)

@@ -156,7 +156,8 @@ def test_gradient_matches_finite_differences():
         surrogate = str(rng.choice(["fractional", "fermi_dirac"]))
         mu = float(rng.uniform(0.1, 0.9))
         cfg = ObjectiveConfig(mu=mu, surrogate=surrogate)
-        po = PulseObjective(ChainSpec(n_sites=n_sites), TargetGate(kind, n_sites), n, 0.2, 10.0, cfg)
+        seq = ControlSequence.zeros(n, 0.2, 10.0)
+        po = PulseObjective(ChainSpec(n_sites=n_sites), TargetGate(kind, n_sites), seq, cfg)
         x = rng.uniform(-1.0, 1.0, 2 * n)
         _, grad = po.value_and_grad(x)
         step = 1e-6

@@ -104,6 +104,12 @@ class TestChoiOfUnitary:
         with pytest.raises(ValueError):
             choi_of_unitary(np.eye(4)[:, :2])
 
+    @pytest.mark.parametrize("u", [[["1"]], [[True]]], ids=["str", "bool"])
+    def test_rejects_entries_that_are_not_numbers(self, u):
+        # a numeric string used to be parsed, and a bool taken as 1
+        with pytest.raises(ValueError, match="u must hold numbers"):
+            choi_of_unitary(u)
+
 
 class TestChoiMatrixValidation:
     def test_rejects_wrong_shape(self):
@@ -117,6 +123,12 @@ class TestChoiMatrixValidation:
     def test_rejects_nan_factor(self):
         with pytest.raises(ValueError):
             ChoiMatrix(system_dim=2, factor=np.full((4, 1), np.nan))
+
+    @pytest.mark.parametrize("factor", [[["1"]], [[True]]], ids=["str", "bool"])
+    def test_rejects_a_factor_that_is_not_numbers(self, factor):
+        # a numeric string used to be parsed, and a bool taken as 1
+        with pytest.raises(ValueError, match="factor must hold numbers"):
+            ChoiMatrix(system_dim=1, factor=factor)
 
     @pytest.mark.parametrize("system_dim", [True, 2.0, "2", 0])
     def test_rejects_a_dim_that_is_not_a_count(self, system_dim):

@@ -28,7 +28,7 @@ def haar_unitary(rng, dim):
 
 def value_and_grad(spec, seq, target, cfg):
     """The minimized functional and its gradient at ``seq``."""
-    po = PulseObjective(spec, target, seq.n, seq.dt, seq.bound, cfg)
+    po = PulseObjective(spec, target, seq, cfg)
     return po.value_and_grad(seq.pulse_vector())
 
 
@@ -66,7 +66,7 @@ class TestConfig:
     def test_check_scales(self):
         # (n, dt, bound, kT): the gradient scale 2n(dt + 1/(n min(bound, 1)))^2,
         # bound/(2kT) and 2kT must be finite; a numpy kT overflows without a warning
-        ObjectiveConfig(mu=0.5, kT=1e-300).check_scales(4, 1e153, 50.0)
+        ObjectiveConfig(mu=0.5, kT=1e-300).check_scales(ControlSequence.zeros(4, 1e153, 50.0))
         for n, dt, bound, kT in [
             (2, 1e300, 50.0, 0.01),
             (2, 0.2, 1e-300, 0.01),
@@ -74,12 +74,13 @@ class TestConfig:
             (2, 0.2, 50.0, 1e308),
         ]:
             with pytest.raises(ValueError, match="not finite"):
-                ObjectiveConfig(mu=0.5, kT=kT).check_scales(n, dt, bound)
+                ObjectiveConfig(mu=0.5, kT=kT).check_scales(ControlSequence.zeros(n, dt, bound))
 
     @pytest.mark.parametrize("n", [0, True])
     def test_slice_count_checked(self, n):
+        # a PulseObjective reads n from its template, whose construction checks it
         with pytest.raises(ValueError, match="n must be"):
-            PulseObjective(ChainSpec(2), TargetGate("NOT", 2), n, 0.2, 10.0, ObjectiveConfig(mu=0.5))
+            ControlSequence.zeros(n, 0.2, 10.0)
 
     @pytest.mark.parametrize(
         "dt,bound,match",
@@ -88,15 +89,16 @@ class TestConfig:
          ("0.2", 10.0, "dt"), (None, 10.0, "dt"), (0.2, "10", "bound")],
     )
     def test_duration_and_bound_checked(self, dt, bound, match):
-        # each used to be accepted and evaluated, or to end in ZeroDivisionError
+        # each used to be accepted and evaluated, or to end in ZeroDivisionError; a
+        # PulseObjective reads dt and bound from its template, whose construction checks them
         with pytest.raises(ValueError, match=f"{match} must be positive and finite"):
-            PulseObjective(ChainSpec(2), TargetGate("NOT", 2), 4, dt, bound, ObjectiveConfig(mu=0.5))
+            ControlSequence.zeros(4, dt, bound)
 
     def test_env_chain_rejected(self):
         with pytest.raises(ValueError):
             PulseObjective(
-                ChainSpec(n_sites=2, env_enabled=True), TargetGate("NOT", 2), 4, 0.2, 10.0,
-                ObjectiveConfig(mu=0.5),
+                ChainSpec(n_sites=2, env_enabled=True), TargetGate("NOT", 2),
+                ControlSequence.zeros(4, 0.2, 10.0), ObjectiveConfig(mu=0.5),
             )
 
     @pytest.mark.parametrize(
@@ -109,7 +111,10 @@ class TestConfig:
     )
     def test_mismatched_inputs_rejected(self, target, x):
         with pytest.raises(ValueError):
-            po = PulseObjective(ChainSpec(n_sites=2), target, 4, 0.2, 10.0, ObjectiveConfig(mu=0.5))
+            po = PulseObjective(
+                ChainSpec(n_sites=2), target, ControlSequence.zeros(4, 0.2, 10.0),
+                ObjectiveConfig(mu=0.5),
+            )
             po.value_and_grad(x)
 
 
@@ -311,7 +316,7 @@ class TestGradient:
     def test_matches_dense_reference(self, case, surrogate):
         spec, target, x = case
         cfg = ObjectiveConfig(mu=0.4, surrogate=surrogate)
-        po = PulseObjective(spec, target, x.size // 2, 0.2, 10.0, cfg)
+        po = PulseObjective(spec, target, ControlSequence.zeros(x.size // 2, 0.2, 10.0), cfg)
         value, grad = po.value_and_grad(x)
         ref_value, ref_grad = dense_value_and_grad(spec, target, 0.2, 10.0, cfg, x)
         assert abs(value - ref_value) < 1e-12
@@ -340,7 +345,7 @@ class TestGradient:
         spec = ChainSpec(n_sites=2)
         target = TargetGate("NOT", 2)
         cfg = ObjectiveConfig(mu=0.35, surrogate=surrogate)
-        po = PulseObjective(spec, target, 4, 0.2, 10.0, cfg)
+        po = PulseObjective(spec, target, ControlSequence.zeros(4, 0.2, 10.0), cfg)
         x = rng.uniform(-1.0, 1.0, 8)
         _, grad = po.value_and_grad(x)
         fd = central_difference(po, x)
@@ -356,7 +361,7 @@ class TestGradient:
         seq = pi_half_x_sequence()
         grad = value_and_grad(spec, seq, target, cfg)[1]
         assert np.max(np.abs(grad)) < 1e-7
-        po = PulseObjective(spec, target, seq.n, seq.dt, seq.bound, cfg)
+        po = PulseObjective(spec, target, seq, cfg)
         fd = central_difference(po, seq.pulse_vector())
         assert np.max(np.abs(fd)) < 1e-7
 
@@ -395,7 +400,7 @@ class TestReuse:
         cfg = ObjectiveConfig(mu=0.4)
 
         def objective():
-            return PulseObjective(spec, target, n, 0.2, 10.0, cfg)
+            return PulseObjective(spec, target, ControlSequence.zeros(n, 0.2, 10.0), cfg)
 
         x1, x2 = np.random.default_rng(n_sites).uniform(-1.0, 1.0, (2, 2 * n))
         po = objective()
@@ -420,7 +425,8 @@ def test_warm_evaluation_allocates_no_stack():
     # less than 1.5 MB in all (9.1 MB when every stage allocated its own).
     n = 256
     po = PulseObjective(
-        ChainSpec(n_sites=4), TargetGate("SWAP", 4), n, 0.2, 10.0, ObjectiveConfig(mu=0.4)
+        ChainSpec(n_sites=4), TargetGate("SWAP", 4), ControlSequence.zeros(n, 0.2, 10.0),
+        ObjectiveConfig(mu=0.4),
     )
     x = np.random.default_rng(5).uniform(-1.0, 1.0, 2 * n)
     po.value_and_grad(x)

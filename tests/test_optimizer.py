@@ -158,11 +158,14 @@ class TestBfgsMinimize:
             bfgs_minimize(fused(f, g), np.ones(3), bound, OptimizerConfig(max_iters=200))
 
     @pytest.mark.parametrize(
-        "x0", [[float("nan"), 1.0], [], np.zeros((2, 2))], ids=["nan", "empty", "matrix"]
+        "x0",
+        [[float("nan"), 1.0], [], np.zeros((2, 2)), [1j, 0.0], ["0.5", "0.1"], [True, False]],
+        ids=["nan", "empty", "matrix", "complex", "str", "bool"],
     )
     def test_rejects_an_x0_that_is_not_a_vector(self, x0):
         # a NaN start used to end in a failed line search with x = [nan, 1];
-        # an empty or 2-D one to fail inside numpy with an unrelated message
+        # an empty or 2-D one to fail inside numpy with an unrelated message;
+        # a complex one to raise TypeError, and strings and bools to be parsed
         with pytest.raises(ValueError, match="x0"):
             bfgs_minimize(lambda x: (float(x @ x), 2.0 * x), x0, 1.0, OptimizerConfig())
 
@@ -172,7 +175,8 @@ class TestBfgsMinimize:
         # raw gradient stays nonzero
         bound = 2.0
         po = PulseObjective(
-            ChainSpec(n_sites=3), TargetGate("NOT", 3), 8, 0.2, bound, ObjectiveConfig(mu=0.9)
+            ChainSpec(n_sites=3), TargetGate("NOT", 3), ControlSequence.zeros(8, 0.2, bound),
+            ObjectiveConfig(mu=0.9),
         )
         evaluated = []
 
@@ -373,7 +377,7 @@ def test_mirrored_start_ends_at_same_functional(kind, n_sites, mu, seed):
     # the mirrored x0 takes the mirrored path up to rounding, which can move
     # its iteration count, so it ends at the same G but not at the same bits.
     spec, target, n, dt, bound = ChainSpec(n_sites), TargetGate(kind, n_sites), 16, 0.2, 50.0
-    po = PulseObjective(spec, target, n, dt, bound, ObjectiveConfig(mu=mu))
+    po = PulseObjective(spec, target, ControlSequence.zeros(n, dt, bound), ObjectiveConfig(mu=mu))
     x0 = np.random.default_rng(seed).uniform(-0.5, 0.5, 2 * n)
     ends = []
     for start in (x0, np.r_[x0[:n], -x0[n:]]):
