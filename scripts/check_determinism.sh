@@ -79,3 +79,10 @@ check robustness_large_dt "robustness.json" \
 printf '{"target": "not3", "n_pulses": null, "restarts": 3, "seed": 2}\n' > "$work/config.json"
 check config "result.json pulses.csv trajectories.csv" \
   run --config "$work/config.json" --restarts 1
+# A config file that gives float fields as JSON ints and an int field as an
+# integral float: the config echo holds "n_pulses": 8, "dt": 1.0, "gamma": 0.0
+# and "kT": 1.0.
+printf '{"target": "not3", "n_pulses": 8.0, "dt": 1, "gamma": 0, "kT": 1, "seed": 1}\n' \
+  > "$work/coerced.json"
+check coerced "result.json pulses.csv trajectories.csv" \
+  run --config "$work/coerced.json" --restarts 1

@@ -52,35 +52,33 @@ class ChoiMatrix:
         return self.factor @ self.factor.conj().T
 
 
-def choi_of_unitary(u: np.ndarray) -> ChoiMatrix:
-    """Choi state of the unitary channel rho -> U rho U^dag.
+def _kraus_factor(u: np.ndarray, n: int) -> np.ndarray:
+    """Choi factor of rho -> Tr_env[U (rho ⊗ |0><0|) U^dag] on an n-dimensional system, with
+    e = u.shape[0] // n environment states (e = 1: the unitary channel). With c[a, k, i] the
+    component (a, k) of U(|i> ⊗ |0>), the image of |i><j| is sum_k c[:, k, i] c[:, k, j]^dag,
+    so the factor holds c[a, k, i] / sqrt(n) at row a*n + i and column k."""
+    e = u.shape[0] // n
+    return u[:, ::e].reshape(n, e, n).transpose(0, 2, 1).reshape(n * n, e) / np.sqrt(n)
 
-    Rank one: its factor is the normalized vector with components U[a, i] at
-    position (a, i), i.e. (1/sqrt(n)) sum_i U|i> ⊗ |i>. U must be unitary
-    within 1e-8 (max-abs deviation of U^dag U from the identity).
-    """
+
+def choi_of_unitary(u: np.ndarray) -> ChoiMatrix:
+    """Choi state of the unitary channel rho -> U rho U^dag: rank one, with the
+    factor (1/sqrt(n)) sum_i U|i> ⊗ |i>. U must be unitary within 1e-8
+    (max-abs deviation of U^dag U from the identity)."""
     u = numeric_array("u", u, np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("expected a square matrix")
     if not np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-8:
         raise ValueError("input is not unitary within tolerance")
-    n = u.shape[0]
-    return ChoiMatrix(system_dim=n, factor=u.reshape(-1, 1) / np.sqrt(n))
+    return ChoiMatrix(system_dim=u.shape[0], factor=_kraus_factor(u, u.shape[0]))
 
 
 def choi_of_env_channel(spec: ChainSpec, seq: ControlSequence) -> ChoiMatrix:
-    """Choi state of rho -> Tr_env[ U_ext (rho ⊗ |0><0|) U_ext^dag ].
-
-    With c[a, e, i] the component (a, e) of the dilated column U_ext(|i> ⊗ |0>),
-    the image of the matrix unit |i><j| is sum_e c[:, e, i] c[:, e, j]^dag, so
-    the factor holds c[a, e, i] / sqrt(n) at row a*n + i and column e: one
-    Kraus operator per environment state.
-    """
+    """Choi state of rho -> Tr_env[ U_ext (rho ⊗ |0><0|) U_ext^dag ], U_ext the
+    propagator on chain + environment qubit: rank at most 2, one Kraus
+    operator per environment state."""
     u_ext = propagate_with_env(spec, seq)
-    n = spec.dim
-    cols = u_ext[:, ::2].reshape(n, 2, n)
-    factor = cols.transpose(0, 2, 1).reshape(n * n, 2) / np.sqrt(n)
-    return ChoiMatrix(system_dim=n, factor=factor)
+    return ChoiMatrix(system_dim=spec.dim, factor=_kraus_factor(u_ext, spec.dim))
 
 
 def choi_distance(a: ChoiMatrix, b: ChoiMatrix) -> float:

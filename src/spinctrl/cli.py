@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import MISSING, Field, asdict, dataclass, field, fields, replace
@@ -17,7 +18,7 @@ from pathlib import Path
 
 from .channels import robustness_experiment
 from .model import (ChainSpec, ControlSequence, TargetGate, basis_index, bloch_trajectories,
-                    is_real)
+                    check_real)
 from .objective import SURROGATES, ObjectiveConfig
 from .optimizer import OptimizerConfig, optimize_controls
 
@@ -89,21 +90,16 @@ class ExperimentConfig:
             if kind is str:
                 if not isinstance(value, str):
                     raise ValueError(f"{f.name} must be a string, not {value!r}")
+            elif kind is int:
+                # 6.0 becomes 6; 6.9, true and "1_0" are left to the domain's check_count
+                if isinstance(value, float) and value.is_integer():
+                    value = int(value)
             else:
-                # int() and float() would quietly turn 6.9 into 6, true into 1 and
-                # "1_0" into 10; flags arrive already converted by argparse.
-                if not is_real(value) or (
-                    kind is int and isinstance(value, float) and not value.is_integer()
-                ):
-                    raise ValueError(f"{f.name} must be {kind.__name__}, not {value!r}")
-                try:
-                    value = kind(value)
-                except (ValueError, OverflowError) as e:
-                    raise ValueError(f"{f.name} must be a finite {kind.__name__}: {e}") from None
+                # The domain objects hold the ranges; min_fidelity is the CLI's own.
+                low, high = (0.0, 1.0) if f.name == "min_fidelity" else (-math.inf, math.inf)
+                value = check_real(f.name, value, low, high)
             object.__setattr__(self, f.name, value)
 
-        if self.min_fidelity is not None and not 0.0 <= self.min_fidelity <= 1.0:
-            raise ValueError("min_fidelity must lie in [0, 1]")
         # Index the initial state and build every domain object, so that their own checks
         # run, then check the scales of the bare chain; ``main`` checks the environment
         # chain's for ``robustness``, the one command that builds it.

@@ -56,15 +56,20 @@ def check_count(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be at least {minimum}, not {value}")
 
 
-def is_real(value) -> bool:
-    """Whether ``value`` is a real number; a bool is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def check_positive(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is a positive finite real number (not a bool)."""
-    if not (is_real(value) and math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite")
+def check_real(name: str, value, low: float = -math.inf, high: float = math.inf,
+               closed: bool = True) -> float:
+    """``float(value)``. Raise ValueError unless ``value`` is a real number (not a bool) whose
+    float exists, is finite and lies in [low, high], or in (low, high) unless ``closed``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int or a Fraction beyond the float range
+        x = math.nan
+    if not (math.isfinite(x) and (low <= x <= high if closed else low < x < high)):
+        left = "[" if closed and low > -math.inf else "("
+        right = "]" if closed and high < math.inf else ")"
+        raise ValueError(f"{name} must be a finite real number in {left}{low:g}, {high:g}{right}")
+    return x
 
 
 def numeric_array(name: str, value, dtype=np.float64) -> np.ndarray:
@@ -80,7 +85,7 @@ def numeric_array(name: str, value, dtype=np.float64) -> np.ndarray:
 class ChainSpec:
     """Chain geometry and couplings, in units of the exchange coupling.
 
-    ``gamma`` scales the star coupling between every chain site and the
+    ``gamma``, held as a float >= 0, scales the star coupling between every chain site and the
     extra environment qubit used when ``env_enabled`` is set; the coupling
     is additionally proportional to the per-slice pulse magnitude.
     """
@@ -93,8 +98,7 @@ class ChainSpec:
         check_count("n_sites", self.n_sites, 1)
         if not isinstance(self.env_enabled, bool):
             raise ValueError(f"env_enabled must be a bool, not {self.env_enabled!r}")
-        if not (is_real(self.gamma) and math.isfinite(self.gamma) and self.gamma >= 0):
-            raise ValueError("gamma must be non-negative and finite")
+        object.__setattr__(self, "gamma", check_real("gamma", self.gamma, 0.0))
 
     @property
     def dim(self) -> int:
@@ -108,7 +112,7 @@ class ChainSpec:
         n = self.n_sites
         norm = 3.0 * (n - 1) + math.sqrt(2.0) * amplitude
         if self.env_enabled:
-            norm += 6.0 * n * float(self.gamma) * amplitude
+            norm += 6.0 * n * self.gamma * amplitude
         return norm
 
     def check_phase(self, duration: float, amplitude: float) -> None:
@@ -142,8 +146,7 @@ class ControlSequence:
         if hx.size < 1:
             raise ValueError("at least one pulse slice is required")
         for name in ("dt", "bound"):
-            check_positive(name, getattr(self, name))
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0.0, closed=False))
         if not (np.all(np.isfinite(hx)) and np.all(np.isfinite(hy))):
             raise ValueError("pulse amplitudes must be finite")
         if max(np.max(np.abs(hx)), np.max(np.abs(hy))) > self.bound:

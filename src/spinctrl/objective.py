@@ -23,8 +23,7 @@ from .model import (
     ControlSequence,
     SliceKernel,
     TargetGate,
-    check_positive,
-    is_real,
+    check_real,
     target_unitary,
 )
 
@@ -39,7 +38,8 @@ class ObjectiveConfig:
     """Weight and smoothing parameters of the minimized functional.
 
     ``mu`` weights fidelity against the pulse penalty; ``alpha`` shapes the
-    fractional surrogate and ``kT`` the Fermi-Dirac one.
+    fractional surrogate and ``kT`` the Fermi-Dirac one. All three are held
+    as floats.
     """
 
     mu: float
@@ -48,13 +48,11 @@ class ObjectiveConfig:
     kT: float = 0.01
 
     def __post_init__(self):
-        if not (is_real(self.mu) and 0.0 <= self.mu <= 1.0):
-            raise ValueError("mu must lie in [0, 1]")
+        object.__setattr__(self, "mu", check_real("mu", self.mu, 0.0, 1.0))
         if self.surrogate not in SURROGATES:
             raise ValueError(f"unknown surrogate {self.surrogate!r}; expected one of {SURROGATES}")
-        if not (is_real(self.alpha) and 0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must lie in (0, 1)")
-        check_positive("kT", self.kT)
+        object.__setattr__(self, "alpha", check_real("alpha", self.alpha, 0.0, 1.0, closed=False))
+        object.__setattr__(self, "kT", check_real("kT", self.kT, 0.0, closed=False))
 
     def check_scales(self, seq: ControlSequence) -> None:
         """Raise ValueError unless, for the n slices of duration dt and |h| <= bound of the
@@ -62,7 +60,7 @@ class ObjectiveConfig:
         fidelity plus penalty slope) and the Fermi-Dirac scales |h|/(2*kT) and 2*kT are finite,
         whatever the surrogate."""
         n, dt, bound = seq.n, seq.dt, seq.bound
-        slope, two_kt = dt + 1.0 / (n * min(bound, 1.0)), 2.0 * float(self.kT)
+        slope, two_kt = dt + 1.0 / (n * min(bound, 1.0)), 2.0 * self.kT
         if not math.isfinite(2 * n * slope * slope + bound / two_kt + two_kt):
             raise ValueError("2*n_pulses*(dt + 1/(n_pulses*min(bound, 1)))^2, bound/(2*kT) or 2*kT "
                              "is not finite; reduce dt, raise a tiny bound or choose a kT nearer 1")

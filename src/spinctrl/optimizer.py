@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import (ChainSpec, ControlSequence, TargetGate, check_count, check_positive,
+from .model import (ChainSpec, ControlSequence, TargetGate, check_count, check_real,
                     numeric_array, propagate, target_unitary)
 from .objective import ObjectiveConfig, PulseObjective, fidelity, penalty
 
@@ -115,7 +115,7 @@ def bfgs_minimize(
     symmetric to rounding. A failed line search ends the run at the best
     point so far, flagged in the returned info.
     """
-    check_positive("bound", bound)
+    bound = check_real("bound", bound, 0.0, closed=False)
     x = numeric_array("x0", x0)
     if x.ndim != 1 or x.size == 0 or np.isnan(x).any():
         raise ValueError("x0 must be a non-empty 1-D vector without NaN")

@@ -33,7 +33,7 @@ from spinctrl.model import (
     _reinterpret,
     bloch_trajectories,
     check_count,
-    check_positive,
+    check_real,
     eigh_stack,
     numeric_array,
     propagate,
@@ -202,12 +202,13 @@ class TestSpecs:
         [0.0, -0.0, -1.0, float("nan"), float("inf"), -float("inf"), "0.2", None, 1j, True, False],
     )
     def test_check_positive_rejects(self, value):
-        with pytest.raises(ValueError, match="scale must be positive and finite"):
-            check_positive("scale", value)
+        with pytest.raises(ValueError, match=r"scale must be a finite real number in \(0, inf\)"):
+            check_real("scale", value, 0.0, closed=False)
 
     @pytest.mark.parametrize("value", [5e-324, 1, np.float64(0.2), 1e308])
     def test_check_positive_accepts(self, value):
-        check_positive("scale", value)
+        x = check_real("scale", value, 0.0, closed=False)
+        assert type(x) is float and x == value
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_numeric_array_converts_exactly_and_keeps_its_own_dtype(self, dtype):
